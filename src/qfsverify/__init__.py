@@ -15,7 +15,7 @@ from .oracles import (ExampleBatch, P0Sampler, RandomExample, draw_examples,
                       p0_sample, qfs_raw, qfs_sample_noisy, random_example,
                       sample_batch)
 from .protocol import (Accepted, Rejected, SampleBatch, SampleRequest, Transcript,
-                       VerifierParams, adversary, honest_prover, protocol_trial,
+                       VerifierParams, honest_prover, make_prover, protocol_trial,
                        read_transcript, replay_transcript, verifier_run,
                        write_transcript)
 from .rectify import heavy_set, list_cap, nearest_match, p_d_poly, rectify, required_samples

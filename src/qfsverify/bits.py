@@ -56,11 +56,6 @@ def format_bits(v: int, n: int) -> str:
     return format(v, f"0{n}b")
 
 
-def bit_at(v: int, i: int, n: int) -> int:
-    """Bit i of a width-n value, 1-indexed from the left."""
-    return (v >> (n - i)) & 1
-
-
 def hamming(a: int, b: int) -> int:
     return (a ^ b).bit_count()
 

@@ -44,7 +44,7 @@ class BooleanFunction:
         w = self.width
         if w > DENSE_WIDTH_CAP:
             raise CapacityError(f"table width {w} exceeds the dense cap {DENSE_WIDTH_CAP}")
-        table = np.ascontiguousarray(self.table, dtype=np.uint8)
+        table = np.array(self.table, dtype=np.uint8)  # a copy, never the caller's array
         if table.shape != (1 << w,):
             raise ValueError(f"table must have {1 << w} entries, got {table.shape}")
         if table.size and table.max() > 1:

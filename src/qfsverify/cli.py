@@ -15,18 +15,18 @@ from . import selftest as selftest_mod
 from .bits import format_bits
 from .boolfn import gen_ftau, read_function, write_function
 from .harness import ExperimentConfig, derive_seed, run_experiment
-from .noise import make_channel
+from .noise import CHANNELS, make_channel
 from .oracles import read_samples, sample_batch, write_samples
-from .protocol import (ADVERSARY_KINDS, Accepted, VerifierParams, adversary,
-                       honest_prover, read_transcript, replay_transcript,
+from .protocol import (ADVERSARY_KINDS, HONEST, Accepted, VerifierParams,
+                       make_prover, read_transcript, replay_transcript,
                        verifier_run, write_transcript)
 from .rectify import list_cap, rectify
 from .spectral import learn_parity, regret
 
 
 def _add_noise_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--model", default="bitflip",
-                   choices=["bitflip", "depolarizing", "blockflip"])
+    # the default is the registry's first channel, independent bit flips
+    p.add_argument("--model", default=next(iter(CHANNELS)), choices=list(CHANNELS))
     p.add_argument("--eta", type=float, required=True)
 
 
@@ -68,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau", type=float)
     p.add_argument("--eps", type=float)
     p.add_argument("--delta", type=float)
-    p.add_argument("--model", choices=["bitflip", "depolarizing", "blockflip"])
+    p.add_argument("--model", choices=list(CHANNELS))
     p.add_argument("--eta", type=float)
     p.add_argument("--seed", type=int)
     p.add_argument("--adversary", choices=list(ADVERSARY_KINDS))
@@ -142,18 +142,8 @@ def cmd_verify(args) -> int:
     channel = make_channel(args.model, args.eta)
     params = VerifierParams(n=f.n, tau=args.tau, eps=args.eps, delta=args.delta)
     prover_rng = np.random.default_rng(derive_seed(args.seed, 1))
-    if args.adversary == "omit":
-        p0 = spec.coeffs * spec.coeffs
-        prover = adversary("omit", prover_rng, spectrum=spec, channel=channel,
-                           avoid=int(spec.support[int(np.argmax(p0))]))
-    elif args.adversary == "wrongfunction":
-        wrong = gen_ftau(f.n, f.width, args.tau, prover_rng)
-        prover = adversary("wrongfunction", prover_rng, spectrum=wrong.spectrum(),
-                           channel=channel)
-    elif args.adversary:
-        prover = adversary(args.adversary, prover_rng, n=f.n)
-    else:
-        prover = honest_prover(spec, channel, prover_rng)
+    prover = make_prover(args.adversary or HONEST, spec, channel, prover_rng,
+                         j=_junta_size(f, spec), tau=args.tau)
     outcome, transcript = verifier_run(params, f, prover, args.seed)
     if args.out:
         write_transcript(transcript, args.out)
@@ -162,6 +152,14 @@ def cmd_verify(args) -> int:
         rec["regret"] = regret(spec, outcome.s0)
     print(json.dumps(rec))
     return 0
+
+
+def _junta_size(f, spec) -> int:
+    """Relevant coordinates of a target: a junta file's own count, or for a
+    dense table the coordinates its spectrum depends on (at least 1)."""
+    if f.coords is not None:
+        return f.width
+    return max(1, int(np.bitwise_or.reduce(spec.support)).bit_count())
 
 
 def _outcome_record(outcome, n: int) -> dict:

@@ -18,12 +18,12 @@ import numpy as np
 from .boolfn import BooleanFunction, FourierSpectrum, gen_ftau, read_function
 from .noise import make_channel
 from .oracles import sample_batch
-from .protocol import VerifierParams, adversary, honest_prover, protocol_trial
+from .protocol import (ADVERSARY_KINDS, HONEST, VerifierParams, make_prover,
+                       protocol_trial)
 from .rectify import heavy_set, rectify, required_samples
 from .spectral import argmax_estimate, regret, sparse_estimate
 
 MODES = ("rectify", "learn", "verify-complete", "verify-sound")
-ADVERSARIES = ("uniform", "wrongfunction", "omit", "constant")
 _MASK64 = (1 << 64) - 1
 
 
@@ -80,9 +80,9 @@ class ExperimentConfig:
             raise ValueError(f"threads: must be >= 0, got {self.threads}")
         make_channel(self.noise_model, self.eta)  # validates model and eta
         if self.mode == "verify-sound":
-            if self.adversary not in ADVERSARIES:
+            if self.adversary not in ADVERSARY_KINDS:
                 raise ValueError(
-                    f"adversary: verify-sound needs one of {ADVERSARIES}, "
+                    f"adversary: verify-sound needs one of {tuple(ADVERSARY_KINDS)}, "
                     f"got {self.adversary!r}")
 
     @classmethod
@@ -157,7 +157,8 @@ def run_trial(cfg: ExperimentConfig, index: int,
     start = time.perf_counter()
 
     # omit adversaries need a second heavy string to leave behind
-    min_support = 2 if cfg.mode == "verify-sound" and cfg.adversary == "omit" else 1
+    kind = cfg.adversary if cfg.mode == "verify-sound" else HONEST
+    min_support = ADVERSARY_KINDS.get(kind, 1)
     f, spec = _target(cfg, fixed, gen_rng, min_support)
 
     if cfg.mode == "rectify":
@@ -175,19 +176,7 @@ def run_trial(cfg: ExperimentConfig, index: int,
                           qfs_samples=est.qfs_samples, examples=est.examples_used)
     else:
         params = VerifierParams(n=cfg.n, tau=cfg.tau, eps=cfg.eps, delta=cfg.delta)
-        if cfg.mode == "verify-complete":
-            prover = honest_prover(spec, channel, prover_rng)
-        elif cfg.adversary == "wrongfunction":
-            wrong = gen_ftau(cfg.n, cfg.j, cfg.tau, prover_rng)
-            prover = adversary("wrongfunction", prover_rng,
-                               spectrum=wrong.spectrum(), channel=channel)
-        elif cfg.adversary == "omit":
-            p0 = spec.coeffs * spec.coeffs
-            avoid = int(spec.support[int(np.argmax(p0))])
-            prover = adversary("omit", prover_rng, spectrum=spec, channel=channel,
-                               avoid=avoid)
-        else:
-            prover = adversary(cfg.adversary, prover_rng, n=cfg.n)
+        prover = make_prover(kind, spec, channel, prover_rng, j=cfg.j, tau=cfg.tau)
         trial = protocol_trial(params, f, prover, verifier_seed, spec)
         ok = trial.correct if cfg.mode == "verify-complete" else trial.wrong_accept
         used = trial.transcript.kprime2_used + trial.transcript.kprime3_used

@@ -18,15 +18,19 @@ ANALYTIC_WIDTH_CAP = 12
 MASS_TOL = 1e-9
 
 
-def _flip_mask_independent(eta: float, n: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Packed masks with each of the n bits set independently w.p. eta."""
-    if eta == 0.0:
-        return np.zeros(count, dtype=np.uint64)
-    return pack_rows(rng.random((count, n)) < eta)
+class _IndependentFlips:
+    """flip_masks for channels that flip each bit independently with
+    probability ``strength``."""
+
+    def flip_masks(self, n: int, count: int, rng: np.random.Generator) -> np.ndarray:
+        check_width(n)
+        if self.strength == 0.0:
+            return np.zeros(count, dtype=np.uint64)
+        return pack_rows(rng.random((count, n)) < self.strength)
 
 
 @dataclass(frozen=True)
-class BitFlipNoise:
+class BitFlipNoise(_IndependentFlips):
     """Independent per-bit flips with probability eta < 1/2."""
 
     eta: float
@@ -39,17 +43,9 @@ class BitFlipNoise:
     def strength(self) -> float:
         return self.eta
 
-    def flip_masks(self, n: int, count: int, rng: np.random.Generator) -> np.ndarray:
-        check_width(n)
-        return _flip_mask_independent(self.eta, n, count, rng)
-
-    def apply(self, s: int, n: int, rng: np.random.Generator) -> int:
-        check_value(s, n)
-        return int(np.uint64(s) ^ self.flip_masks(n, 1, rng)[0])
-
 
 @dataclass(frozen=True)
-class DepolarizingNoise:
+class DepolarizingNoise(_IndependentFlips):
     """Depolarization of strength eta_dep on every measured qubit.
 
     At the outcome level each bit (the y readout included) flips with the
@@ -65,14 +61,6 @@ class DepolarizingNoise:
     @property
     def strength(self) -> float:
         return self.eta_eff
-
-    def flip_masks(self, n: int, count: int, rng: np.random.Generator) -> np.ndarray:
-        check_width(n)
-        return _flip_mask_independent(self.eta_eff, n, count, rng)
-
-    def apply(self, s: int, n: int, rng: np.random.Generator) -> int:
-        check_value(s, n)
-        return int(np.uint64(s) ^ self.flip_masks(n, 1, rng)[0])
 
 
 @dataclass(frozen=True)
@@ -92,11 +80,6 @@ class BlockFlipNoise:
     def strength(self) -> float:
         return self.eta
 
-    @property
-    def eta_bound(self) -> float:
-        """Certified per-bit marginal flip probability."""
-        return self.eta
-
     def flip_masks(self, n: int, count: int, rng: np.random.Generator) -> np.ndarray:
         check_width(n)
         if self.eta == 0.0:
@@ -112,29 +95,27 @@ class BlockFlipNoise:
             mask |= np.where(hit, np.uint64(1), np.uint64(0))
         return mask
 
-    def apply(self, s: int, n: int, rng: np.random.Generator) -> int:
-        check_value(s, n)
-        return int(np.uint64(s) ^ self.flip_masks(n, 1, rng)[0])
-
 
 NoiseChannel = BitFlipNoise | DepolarizingNoise | BlockFlipNoise
 
-_CHANNELS = {"bitflip": BitFlipNoise, "depolarizing": DepolarizingNoise,
-             "blockflip": BlockFlipNoise}
+CHANNELS = {"bitflip": BitFlipNoise, "depolarizing": DepolarizingNoise,
+            "blockflip": BlockFlipNoise}
 
 
 def make_channel(model: str, eta: float) -> NoiseChannel:
     """Build a channel from its config-file record {model, eta}."""
     try:
-        cls = _CHANNELS[model]
+        cls = CHANNELS[model]
     except KeyError:
         raise ValueError(f"unknown noise model {model!r}; "
-                         f"expected one of {sorted(_CHANNELS)}") from None
+                         f"expected one of {sorted(CHANNELS)}") from None
     return cls(eta)
 
 
 def apply(channel: NoiseChannel, s: int, n: int, rng: np.random.Generator) -> int:
-    return channel.apply(s, n, rng)
+    """One noisy copy of the width-n string s: the scalar form of flip_masks."""
+    check_value(s, n)
+    return int(np.uint64(s) ^ channel.flip_masks(n, 1, rng)[0])
 
 
 def eta_eff(eta_dep: float) -> float:

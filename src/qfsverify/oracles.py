@@ -14,7 +14,7 @@ import numpy as np
 
 from .bits import check_width, format_bits, parse_bits, random_words
 from .boolfn import FourierSpectrum
-from .noise import DepolarizingNoise, NoiseChannel
+from .noise import DepolarizingNoise, NoiseChannel, apply
 
 SAFETY_STOP = 10 ** 6
 
@@ -114,7 +114,7 @@ def qfs_sample_noisy(spec: FourierSpectrum, channel: NoiseChannel,
             eta = channel.eta_eff
             for _ in range(SAFETY_STOP):
                 raw = _raw(sampler, rng)
-                s = channel.apply(raw.s, n, rng)
+                s = apply(channel, raw.s, n, rng)
                 y = raw.y ^ int(rng.random() < eta)
                 if y == 1:
                     return s
@@ -122,11 +122,11 @@ def qfs_sample_noisy(spec: FourierSpectrum, channel: NoiseChannel,
         if path != "effective":
             raise ValueError(f"unknown sampling path {path!r}")
         s = 0 if rng.random() < channel.eta_eff else sampler.draw(rng)
-        return channel.apply(s, n, rng)
+        return apply(channel, s, n, rng)
     for _ in range(SAFETY_STOP):
         raw = _raw(sampler, rng)
         if raw.y == 1:
-            return channel.apply(raw.s, n, rng)
+            return apply(channel, raw.s, n, rng)
     raise RuntimeError("raw sampling exceeded the safety stop")
 
 

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import check_value, check_width, format_bits, parse_bits
-from .boolfn import BooleanFunction, FourierSpectrum
+from .bits import check_width, format_bits, parse_bits, random_words
+from .boolfn import BooleanFunction, FourierSpectrum, gen_ftau
 from .noise import NoiseChannel
 from .oracles import draw_examples, sample_batch
 from .rectify import rectify, required_samples
@@ -23,8 +23,12 @@ from .spectral import argmax_estimate, estimate_coeffs, examples_needed, regret
 
 BAD_BATCH = "BadBatch"
 VALIDATION_FAILED = "ValidationFailed"
+PROVER_ERROR = "ProverError"
+REJECT_REASONS = (BAD_BATCH, VALIDATION_FAILED, PROVER_ERROR)
 
-ADVERSARY_KINDS = ("uniform", "wrongfunction", "omit", "constant")
+HONEST = "honest"
+# adversary kind -> fewest support strings its target must have (omit drops one)
+ADVERSARY_KINDS = {"uniform": 1, "wrongfunction": 1, "omit": 2, "constant": 1}
 
 
 class ParseError(ValueError):
@@ -126,7 +130,6 @@ class Transcript:
     seed: int
     messages: list
     outcome: Outcome
-    kprime1: int = 0
     kprime2_used: int = 0
     kprime3_used: int = 0
 
@@ -190,64 +193,39 @@ def honest_prover(spec: FourierSpectrum, channel: NoiseChannel,
     return respond
 
 
-def adversary(kind: str, rng: np.random.Generator, *, n: int | None = None,
-              spectrum: FourierSpectrum | None = None,
-              channel: NoiseChannel | None = None, avoid: int | None = None):
-    """Dishonest responders for soundness trials.
+def make_prover(kind: str, spec: FourierSpectrum, channel: NoiseChannel,
+                rng: np.random.Generator, *, j: int, tau: float):
+    """Responder of one prover kind against the target spectrum ``spec``.
 
-    uniform: i.i.d. uniform strings (needs n). wrongfunction: honest
-    sampler for a different spectrum (needs spectrum + channel). omit:
-    honest sampler that never emits the designated heavy string before
-    noise (needs spectrum + channel + avoid). constant: all zeros
-    (needs n).
+    honest: the noisy sampling circuit for ``spec``. The adversaries are
+    uniform: i.i.d. uniform strings; wrongfunction: the honest sampler
+    for a fresh gen_ftau(n, j, tau, rng) target; omit: the honest sampler
+    for ``spec`` with its largest-p0 string removed and the remaining p0
+    renormalised; constant: all zeros. Only wrongfunction reads j and tau.
     """
-    kind = kind.lower()
+    n = spec.n
+    if kind == HONEST:
+        return honest_prover(spec, channel, rng)
     if kind == "uniform":
-        if n is None:
-            raise ValueError("uniform adversary needs n")
-        width = check_width(n)
-
-        def respond(req: SampleRequest) -> SampleBatch:
-            return SampleBatch(width, rng.integers(0, 1 << width, size=req.count,
-                                                   dtype=np.uint64))
-        return respond
+        return lambda req: SampleBatch(n, random_words(rng, req.count, n))
     if kind == "wrongfunction":
-        if spectrum is None or channel is None:
-            raise ValueError("wrongfunction adversary needs spectrum and channel")
-        return honest_prover(spectrum, channel, rng)
+        return honest_prover(gen_ftau(n, j, tau, rng).spectrum(), channel, rng)
     if kind == "omit":
-        if spectrum is None or channel is None or avoid is None:
-            raise ValueError("omit adversary needs spectrum, channel and avoid")
-        return _omit_prover(spectrum, channel, avoid, rng)
+        return honest_prover(_omit_heaviest(spec), channel, rng)
     if kind == "constant":
-        if n is None:
-            raise ValueError("constant adversary needs n")
-        width = check_width(n)
-
-        def respond(req: SampleRequest) -> SampleBatch:
-            return SampleBatch(width, np.zeros(req.count, dtype=np.uint64))
-        return respond
-    raise ValueError(f"unknown adversary kind {kind!r}; expected one of {ADVERSARY_KINDS}")
+        return lambda req: SampleBatch(n, np.zeros(req.count, dtype=np.uint64))
+    raise ValueError(f"unknown prover kind {kind!r}; expected {HONEST!r} "
+                     f"or one of {tuple(ADVERSARY_KINDS)}")
 
 
-def _omit_prover(spec: FourierSpectrum, channel: NoiseChannel, avoid: int,
-                 rng: np.random.Generator):
-    """Honest sampling conditioned on the noise-free draw differing from
-    ``avoid``; equivalent to resampling whenever it comes up."""
-    check_value(avoid, spec.n)
-    keep = spec.support != np.uint64(avoid)
-    if not np.any(keep):
+def _omit_heaviest(spec: FourierSpectrum) -> FourierSpectrum:
+    """``spec`` without its largest-p0 string, rescaled to satisfy Parseval."""
+    avoid = int(spec.support[int(np.argmax(spec.coeffs * spec.coeffs))])
+    rest = {s: c for s, c in spec.entries.items() if s != avoid}
+    if not rest:
         raise ValueError("cannot omit the only support string")
-    probs = (spec.coeffs * spec.coeffs)[keep]
-    support = spec.support[keep]
-    cum = np.cumsum(probs / probs.sum())
-
-    def respond(req: SampleRequest) -> SampleBatch:
-        idx = np.minimum(np.searchsorted(cum, rng.random(req.count), side="right"),
-                         len(support) - 1)
-        s = support[idx] ^ channel.flip_masks(spec.n, req.count, rng)
-        return SampleBatch(spec.n, s)
-    return respond
+    scale = math.sqrt(sum(c * c for c in rest.values()))
+    return FourierSpectrum(spec.n, {s: c / scale for s, c in rest.items()})
 
 
 def verifier_run(params: VerifierParams, f: BooleanFunction, prover,
@@ -257,21 +235,28 @@ def verifier_run(params: VerifierParams, f: BooleanFunction, prover,
     The verifier's own randomness (rectification tie-breaks and random
     example draws) is derived from ``seed``, so a transcript replays
     bit-exactly against its recorded batch. The target function is used
-    through the random example oracle only.
+    through the random example oracle only. A prover that raises is
+    rejected with ProverError; a reply that is not a 1-D uint64 batch of
+    the requested count and width is rejected with BadBatch.
     """
     rng = np.random.default_rng(seed)
     req = SampleRequest(params.k)
     messages: list = [req]
-    reply = prover(req)
-    if isinstance(reply, SampleBatch):
-        messages.append(reply)
-    bad = (not isinstance(reply, SampleBatch) or reply.n != params.n
-           or len(reply) != req.count
-           or (len(reply) > 0 and int(reply.samples.max()) >> params.n))
-    if bad:
-        outcome: Outcome = Rejected(BAD_BATCH)
+    try:
+        reply = prover(req)
+    except Exception:  # the prover is untrusted: its failure is a rejection
+        outcome: Outcome = Rejected(PROVER_ERROR)
         return outcome, Transcript(params, seed, messages, outcome)
-    candidates = rectify(reply.samples, params.n, params.theta, rng)
+    samples = reply.samples if isinstance(reply, SampleBatch) else None
+    shaped = (isinstance(samples, np.ndarray) and samples.ndim == 1
+              and samples.dtype == np.uint64)
+    if shaped:
+        messages.append(reply)
+    if (not shaped or reply.n != params.n or len(samples) != req.count
+            or int(samples.max()) >> params.n):
+        outcome = Rejected(BAD_BATCH)
+        return outcome, Transcript(params, seed, messages, outcome)
+    candidates = rectify(samples, params.n, params.theta, rng)
     ex2 = draw_examples(f, params.kprime2, rng)
     est2 = estimate_coeffs(candidates, ex2)
     validation_sum = sum(v * v for v in est2.values())
@@ -292,6 +277,8 @@ def replay_transcript(transcript: Transcript, f: BooleanFunction) -> Outcome:
     batch = next((m for m in transcript.messages if isinstance(m, SampleBatch)), None)
 
     def respond(req: SampleRequest):
+        if batch is None and transcript.outcome == Rejected(PROVER_ERROR):
+            raise RuntimeError("the recorded prover raised")
         return batch
     outcome, _ = verifier_run(transcript.params, f, respond, transcript.seed)
     return outcome
@@ -329,7 +316,7 @@ def write_transcript(t: Transcript, path) -> None:
     with open(path, "w") as fh:
         fh.write(
             f"PARAMS n={t.params.n} tau={t.params.tau!r} eps={t.params.eps!r} "
-            f"delta={t.params.delta!r} seed={t.seed} kprime1={t.kprime1} "
+            f"delta={t.params.delta!r} seed={t.seed} "
             f"kprime2={t.kprime2_used} kprime3={t.kprime3_used}\n")
         for msg in t.messages:
             fh.write(serialize(msg) + "\n")
@@ -352,7 +339,7 @@ def read_transcript(path) -> Transcript:
         params = VerifierParams(n=int(fields["n"]), tau=float(fields["tau"]),
                                 eps=float(fields["eps"]), delta=float(fields["delta"]))
         seed = int(fields["seed"])
-        counts = (int(fields["kprime1"]), int(fields["kprime2"]), int(fields["kprime3"]))
+        counts = (int(fields["kprime2"]), int(fields["kprime3"]))
     except (KeyError, ValueError) as exc:
         raise ParseError(1, f"bad PARAMS header: {exc}") from None
     messages: list = []
@@ -368,10 +355,9 @@ def read_transcript(path) -> Transcript:
         if w != params.n:
             raise ParseError(pos + 1, f"outcome width {w} != {params.n}")
         outcome: Outcome = Accepted(s0)
-    elif len(parts) == 3 and parts[1] == "REJECT" and parts[2] in (BAD_BATCH,
-                                                                   VALIDATION_FAILED):
+    elif len(parts) == 3 and parts[1] == "REJECT" and parts[2] in REJECT_REASONS:
         outcome = Rejected(parts[2])
     else:
         raise ParseError(pos + 1, f"malformed OUTCOME line {lines[pos]!r}")
-    return Transcript(params, seed, messages, outcome, kprime1=counts[0],
-                      kprime2_used=counts[1], kprime3_used=counts[2])
+    return Transcript(params, seed, messages, outcome, kprime2_used=counts[0],
+                      kprime3_used=counts[1])

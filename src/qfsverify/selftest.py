@@ -34,9 +34,11 @@ def check_spectrum_oracle() -> tuple[bool, str]:
     return worst <= 1e-10, f"max |transform - direct sum| = {worst:.3g}"
 
 
+PD_ETAS = tuple(round(0.01 + 0.04 * i, 2) for i in range(13))  # 0.01, 0.05, ..., 0.49
+
+
 def check_pd_identities() -> tuple[bool, str]:
-    etas = [0.01 + 0.04 * i for i in range(13)]
-    for eta in etas:
+    for eta in PD_ETAS:
         for d in range(1, 26):
             if p_d_poly(eta, d) > eta + 1e-15:
                 return False, f"P_{d}({eta}) > eta"

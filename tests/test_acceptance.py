@@ -11,10 +11,12 @@ from qfsverify.harness import ExperimentConfig, run_experiment
 from qfsverify.noise import (BitFlipNoise, BlockFlipNoise, DepolarizingNoise,
                              analytic_noisy_dist)
 from qfsverify.oracles import sample_batch
-from qfsverify.protocol import (VerifierParams, adversary, honest_prover,
-                                protocol_trial, replay_transcript, verifier_run)
-from qfsverify.rectify import heavy_set, p_d_poly, rectify, required_samples
-from qfsverify.spectral import examples_needed, learn_parity, regret
+from qfsverify.protocol import (ADVERSARY_KINDS, VerifierParams, honest_prover,
+                                make_prover, protocol_trial, replay_transcript,
+                                verifier_run)
+from qfsverify.rectify import heavy_set, rectify, required_samples
+from qfsverify.selftest import PD_ETAS, check_pd_identities, check_sample_formulas
+from qfsverify.spectral import learn_parity, regret
 
 AND2_AT16 = BooleanFunction.junta(16, (3, 5), [0, 0, 0, 1])
 
@@ -115,13 +117,9 @@ def test_c4_heavy_recovery_blockflip():
 
 def test_c5_mismatch_polynomial_identities():
     start = time.perf_counter()
-    etas = [round(0.01 + 0.04 * i, 2) for i in range(13)]
-    assert etas[0] == 0.01 and etas[-1] == 0.49
-    for eta in etas:
-        for d in range(1, 26):
-            assert p_d_poly(eta, d) <= eta + 1e-15, f"C5 P_{d}({eta}) > eta"
-            assert abs(p_d_poly(eta, 2 * d) - p_d_poly(eta, 2 * d - 1)) <= 1e-12, \
-                f"C5 P_{2*d}({eta}) != P_{2*d-1}({eta})"
+    assert PD_ETAS[0] == 0.01 and PD_ETAS[-1] == 0.49 and len(PD_ETAS) == 13
+    ok, detail = check_pd_identities()
+    assert ok, f"C5 {detail}"
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0, f"C5 exceeded budget: {elapsed:.2f}s"
     print(f"\nC5 PASS: P_d <= eta and P_2d == P_2d-1 for d in 1..25 "
@@ -168,23 +166,18 @@ def test_c8_protocol_soundness_suite():
     params = VerifierParams(n=16, tau=0.5, eps=0.45, delta=0.2)
     eta = 0.025
     results = {}
-    for kind in ("uniform", "wrongfunction", "omit", "constant"):
+    for kind in ADVERSARY_KINDS:
         wrong_accepts = 0
         for t in range(200):
             base = 80_000 + 1000 * len(results) + t
-            f, spec = fresh_ftau_target(base, min_support=2 if kind == "omit" else 1)
+            f, spec = fresh_ftau_target(base, min_support=ADVERSARY_KINDS[kind])
             rng = np.random.default_rng(base + 500_000)
-            if kind == "uniform" or kind == "constant":
-                prover = adversary(kind, rng, n=16)
-            elif kind == "wrongfunction":
+            if kind == "wrongfunction":
+                # the wrong target comes from its own seed, not the prover's rng
                 _, wrong_spec = fresh_ftau_target(base + 900_000)
-                prover = adversary(kind, rng, spectrum=wrong_spec,
-                                   channel=BitFlipNoise(eta))
+                prover = honest_prover(wrong_spec, BitFlipNoise(eta), rng)
             else:
-                p0 = spec.coeffs * spec.coeffs
-                prover = adversary(kind, rng, spectrum=spec,
-                                   channel=BitFlipNoise(eta),
-                                   avoid=int(spec.support[int(np.argmax(p0))]))
+                prover = make_prover(kind, spec, BitFlipNoise(eta), rng, j=2, tau=0.5)
             trial = protocol_trial(params, f, prover, seed=base + 700_000, spec=spec)
             wrong_accepts += trial.wrong_accept
         results[kind] = wrong_accepts
@@ -224,7 +217,6 @@ def test_c10_sample_count_formulas():
     # smallest integers satisfying the stated exponential bounds; see the
     # closed forms asserted against their defining inequalities in the
     # module tests
-    assert required_samples(16, 0.25, 0.1) == 18459
-    assert examples_needed(32, 0.1, 0.1) == 1293
-    print("\nC10 PASS: required_samples(16,0.25,0.1) = 18459, "
-          "examples_needed(32,0.1,0.1) = 1293")
+    ok, detail = check_sample_formulas()
+    assert ok, f"C10 {detail}"
+    print(f"\nC10 PASS: {detail}")

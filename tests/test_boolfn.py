@@ -243,3 +243,13 @@ def test_spectrum_file_roundtrip(tmp_path, and2_at16):
 def test_dense_width_cap():
     with pytest.raises(CapacityError):
         BooleanFunction.dense(25, [0])  # cap check precedes the shape check
+
+
+def test_table_is_copied_not_aliased():
+    table = np.array([0, 0, 0, 1], dtype=np.uint8)
+    view = table[:]
+    f = BooleanFunction.dense(2, table)
+    assert table.flags.writeable
+    view[0] = 1
+    assert f.table.tolist() == [0, 0, 0, 1]
+    assert not f.table.flags.writeable

@@ -1,9 +1,15 @@
+import argparse
 import json
 
+import numpy as np
+import pytest
+
 from qfsverify.bits import parse_bits
-from qfsverify.boolfn import read_function, write_function
-from qfsverify.cli import main
+from qfsverify.boolfn import BooleanFunction, read_function, write_function
+from qfsverify.cli import build_parser, main
+from qfsverify.noise import CHANNELS
 from qfsverify.oracles import read_samples
+from qfsverify.protocol import ADVERSARY_KINDS
 from qfsverify.rectify import heavy_set
 
 
@@ -72,8 +78,7 @@ def test_verify_adversary_rejects(tmp_path, capsys, and2_at16):
     assert run_cli("verify", "--function", fn, "--tau", 0.5, "--eps", 0.45,
                    "--delta", 0.2, "--model", "bitflip", "--eta", 0.025,
                    "--seed", 4, "--adversary", "constant") == 0
-    rec = json.loads(capsys.readouterr().out)
-    assert rec == {"outcome": "reject", "reason": "ValidationFailed"}
+    assert json.loads(capsys.readouterr().out) == _REJECTED
 
 
 def test_experiment_command(tmp_path, capsys):
@@ -116,3 +121,55 @@ def test_verify_requires_params_or_replay(tmp_path, capsys, and2_at16):
     write_function(and2_at16, fn)
     assert run_cli("verify", "--function", fn) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def _choices(command: str, dest: str):
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return next(a.choices for a in sub.choices[command]._actions if a.dest == dest)
+
+
+def test_choices_come_from_the_registries():
+    for command in ("sample", "learn", "verify"):
+        assert _choices(command, "model") == list(CHANNELS)
+    assert _choices("verify", "adversary") == list(ADVERSARY_KINDS)
+
+
+# outputs of verify --seed 4 on AND2 at width 16 (tau .5, eps .45, delta .2,
+# eta .025), captured before adversary construction moved into make_prover
+_REJECTED = {"outcome": "reject", "reason": "ValidationFailed"}
+PINNED_VERIFY = {
+    **{(model, kind): _REJECTED for model in CHANNELS
+       for kind in ("uniform", "wrongfunction", "constant")},
+    ("bitflip", None): {"outcome": "accept", "s0": "0000000000000000", "regret": 0.0},
+    ("bitflip", "omit"): {"outcome": "accept", "s0": "0000000000000000", "regret": 0.0},
+    ("blockflip", None): {"outcome": "accept", "s0": "0000100000000000", "regret": 0.0},
+    ("blockflip", "omit"): _REJECTED,
+    ("depolarizing", None): {"outcome": "accept", "s0": "0010000000000000",
+                             "regret": 0.0},
+}
+
+
+@pytest.mark.parametrize("model,adversary", list(PINNED_VERIFY))
+def test_verify_output_on_junta_is_pinned(model, adversary, tmp_path, capsys,
+                                          and2_at16):
+    fn = tmp_path / "and2.fn"
+    write_function(and2_at16, fn)
+    argv = ["verify", "--function", fn, "--tau", 0.5, "--eps", 0.45, "--delta", 0.2,
+            "--model", model, "--eta", 0.025, "--seed", 4]
+    if adversary:
+        argv += ["--adversary", adversary]
+    assert run_cli(*argv) == 0
+    assert json.loads(capsys.readouterr().out) == PINNED_VERIFY[model, adversary]
+
+
+def test_verify_wrongfunction_on_dense_target(tmp_path, capsys):
+    # x1 XOR x2 as a dense 16-bit table: the spectrum depends on 2 coordinates,
+    # so the wrong function is a fresh 2-junta rather than a 16-junta
+    xs = np.arange(1 << 16)
+    fn = tmp_path / "xor.fn"
+    write_function(BooleanFunction.dense(16, ((xs >> 15) ^ (xs >> 14)) & 1), fn)
+    assert run_cli("verify", "--function", fn, "--tau", 0.5, "--eps", 0.45,
+                   "--delta", 0.2, "--model", "bitflip", "--eta", 0.025,
+                   "--seed", 4, "--adversary", "wrongfunction") == 0
+    assert json.loads(capsys.readouterr().out) == _REJECTED

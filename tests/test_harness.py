@@ -150,3 +150,43 @@ def test_rerun_is_bit_identical():
     assert first == second
     assert [dataclasses.asdict(r) | {"ms": None} for r in first] == \
            [dataclasses.asdict(r) | {"ms": None} for r in second]
+
+
+# Records of run_experiment(n=16, j=2, tau=0.5, eps=0.45, delta=0.2, trials=3,
+# seed=2024) as captured before adversary construction moved into
+# make_prover: (success, h_in_l, regret_ok, correct, wrong_accept, regret,
+# qfs_samples, examples) per trial.
+_ACCEPT = (True, None, None, True, False, 0.0, 19757, 44953)
+_REJECT = (False, None, None, False, False, None, 19757, 44898)
+PINNED_RECORDS = {
+    ("verify-complete", "bitflip", 0.025, None): [_ACCEPT] * 3,
+    ("verify-sound", "bitflip", 0.025, "uniform"): [_REJECT] * 3,
+    ("verify-sound", "bitflip", 0.025, "wrongfunction"): [_REJECT] * 3,
+    ("verify-sound", "bitflip", 0.025, "omit"):
+        [(False, None, None, True, False, 0.0, 19757, 44953)] * 3,
+    ("verify-sound", "bitflip", 0.025, "constant"): [_REJECT] * 3,
+    ("verify-sound", "blockflip", 0.025, "uniform"): [_REJECT] * 3,
+    ("verify-sound", "blockflip", 0.025, "wrongfunction"): [_REJECT] * 3,
+    ("verify-sound", "blockflip", 0.025, "omit"): [_REJECT] * 3,
+    ("verify-sound", "blockflip", 0.025, "constant"): [_REJECT] * 3,
+    ("learn", "bitflip", 0.02, None): [(True, None, True, None, None, 0.0, 28134, 59)] * 3,
+    ("rectify", "bitflip", 0.02, None): [(True, True, None, None, None, None, 16241, 0)] * 3,
+}
+PINNED_SEEDS = [11487996472437173461, 1793612131670815442, 5507758030568793471]
+
+
+@pytest.mark.parametrize("mode,model,eta,adversary", list(PINNED_RECORDS))
+def test_fixed_seed_records_are_pinned(mode, model, eta, adversary):
+    cfg = ExperimentConfig.from_dict(base_config(
+        mode=mode, noise={"model": model, "eta": eta}, adversary=adversary,
+        delta=0.2, trials=3, seed=2024, threads=1))
+    _, records = run_experiment(cfg)
+    got = [dataclasses.asdict(r) for r in records]
+    for rec in got:
+        del rec["ms"]
+    want = [dict(zip(("index", "seed", "success", "h_in_l", "regret_ok", "correct",
+                      "wrong_accept", "regret", "qfs_samples", "examples"),
+                     (i, seed) + fields))
+            for i, (seed, fields) in enumerate(zip(PINNED_SEEDS,
+                                                   PINNED_RECORDS[mode, model, eta, adversary]))]
+    assert got == want

@@ -1,14 +1,16 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from qfsverify.boolfn import FourierSpectrum, gen_ftau
-from qfsverify.noise import BitFlipNoise
-from qfsverify.protocol import (BAD_BATCH, VALIDATION_FAILED, ParseError,
+from qfsverify.noise import BitFlipNoise, make_channel
+from qfsverify.protocol import (ADVERSARY_KINDS, BAD_BATCH, HONEST,
+                                PROVER_ERROR, VALIDATION_FAILED, ParseError,
                                 Rejected, SampleBatch, SampleRequest,
-                                VerifierParams, adversary, deserialize,
-                                honest_prover, protocol_trial, read_transcript,
+                                VerifierParams, deserialize, honest_prover,
+                                make_prover, protocol_trial, read_transcript,
                                 replay_transcript, serialize, verifier_run,
                                 write_transcript)
 from qfsverify.rectify import required_samples
@@ -79,19 +81,53 @@ def test_honest_prover_properties(and2_at16):
     assert a == b
 
 
-def test_uniform_adversary_marginals():
-    prover = adversary("uniform", np.random.default_rng(2), n=16)
+@pytest.mark.parametrize("kind", (HONEST,) + tuple(ADVERSARY_KINDS))
+def test_make_prover_every_kind(kind, and2_at16):
+    spec = and2_at16.spectrum()
+    prover = make_prover(kind, spec, BitFlipNoise(0.0), np.random.default_rng(2),
+                         j=2, tau=0.5)
     batch = prover(SampleRequest(10 ** 4))
-    for bit in range(16):
-        rate = float(np.mean((batch.samples >> np.uint64(15 - bit)) & np.uint64(1)))
-        assert abs(rate - 0.5) <= 0.02
+    assert len(batch) == 10 ** 4 and batch.n == 16
+    assert batch.samples.shape == (10 ** 4,) and batch.samples.dtype == np.uint64
+    if kind == "uniform":
+        for bit in range(16):
+            rate = float(np.mean((batch.samples >> np.uint64(15 - bit)) & np.uint64(1)))
+            assert abs(rate - 0.5) <= 0.02
+    if kind == "constant":
+        assert np.all(batch.samples == 0)
+
+
+# sha256 prefixes of 1000-sample batches on AND2 at width 16 (eta 0.025,
+# rng seed 31), captured from the per-kind constructors make_prover replaced
+PINNED_BATCH_DIGESTS = {
+    ("bitflip", "honest"): "6057d9b0d2f2c150",
+    ("bitflip", "uniform"): "8d7a375dbdc08dd5",
+    ("bitflip", "wrongfunction"): "2dc9e7c29d2f34de",
+    ("bitflip", "omit"): "c63baf9e984cb0ed",
+    ("bitflip", "constant"): "668946bab9868b28",
+    ("blockflip", "honest"): "6271bcba8d17123e",
+    ("blockflip", "uniform"): "8d7a375dbdc08dd5",
+    ("blockflip", "wrongfunction"): "e2c2e06a82c59575",
+    ("blockflip", "omit"): "2216ef720463be72",
+    ("blockflip", "constant"): "668946bab9868b28",
+}
+
+
+@pytest.mark.parametrize("model,kind", list(PINNED_BATCH_DIGESTS))
+def test_make_prover_batches_are_pinned(model, kind, and2_at16):
+    prover = make_prover(kind, and2_at16.spectrum(), make_channel(model, 0.025),
+                         np.random.default_rng(31), j=2, tau=0.5)
+    samples = prover(SampleRequest(1000)).samples
+    digest = hashlib.sha256(samples.tobytes()).hexdigest()[:16]
+    assert digest == PINNED_BATCH_DIGESTS[model, kind]
 
 
 def test_omit_adversary_never_emits_designated(and2_at16):
+    # AND2's four strings tie at p0 = 1/4, so the first, 0^16, is omitted
     spec = and2_at16.spectrum()
     avoid = int(spec.support[0])
-    prover = adversary("omit", np.random.default_rng(3), spectrum=spec,
-                       channel=BitFlipNoise(0.0), avoid=avoid)
+    prover = make_prover("omit", spec, BitFlipNoise(0.0), np.random.default_rng(3),
+                         j=2, tau=0.5)
     batch = prover(SampleRequest(5000))
     assert avoid not in set(batch.samples.tolist())
 
@@ -99,19 +135,15 @@ def test_omit_adversary_never_emits_designated(and2_at16):
 def test_omit_adversary_needs_second_string():
     spec = FourierSpectrum(4, {0b1000: 1.0})
     with pytest.raises(ValueError):
-        adversary("omit", np.random.default_rng(4), spectrum=spec,
-                  channel=BitFlipNoise(0.0), avoid=0b1000)
-
-
-def test_constant_adversary():
-    prover = adversary("constant", np.random.default_rng(5), n=16)
-    batch = prover(SampleRequest(100))
-    assert np.all(batch.samples == 0)
+        make_prover("omit", spec, BitFlipNoise(0.0), np.random.default_rng(4),
+                    j=1, tau=0.5)
 
 
 def test_unknown_adversary():
+    spec = FourierSpectrum(4, {0b1000: 1.0})
     with pytest.raises(ValueError):
-        adversary("replay", np.random.default_rng(6), n=4)
+        make_prover("replay", spec, BitFlipNoise(0.0), np.random.default_rng(6),
+                    j=1, tau=0.5)
 
 
 def test_bad_batch_is_deterministic(and2_at16):
@@ -126,10 +158,33 @@ def test_bad_batch_is_deterministic(and2_at16):
     def rude_prover(req):
         return "no"
 
-    for prover in (short_prover, wrong_width_prover, rude_prover):
+    def column_prover(req):  # k x 1 instead of a flat batch
+        return SampleBatch(16, np.zeros((req.count, 1), dtype=np.uint64))
+
+    for prover in (short_prover, wrong_width_prover, rude_prover, column_prover):
         outcome, transcript = verifier_run(p, and2_at16, prover, seed=123)
         assert outcome == Rejected(BAD_BATCH)
         assert transcript.kprime2_used == 0 and transcript.kprime3_used == 0
+
+
+def test_prover_exception_is_rejected(tmp_path, and2_at16):
+    p = params16()
+
+    def raising_prover(req):
+        raise RuntimeError("prover crashed")
+
+    def string_prover(req):  # SampleBatch cannot convert these to uint64
+        return SampleBatch(16, ["not-a-bit-string"] * req.count)
+
+    for prover in (raising_prover, string_prover):
+        outcome, transcript = verifier_run(p, and2_at16, prover, seed=124)
+        assert outcome == Rejected(PROVER_ERROR)
+        assert transcript.messages == [SampleRequest(p.k)]
+        path = tmp_path / "transcript.txt"
+        write_transcript(transcript, path)
+        back = read_transcript(path)
+        assert back.outcome == Rejected(PROVER_ERROR)
+        assert replay_transcript(back, and2_at16) == outcome
 
 
 def test_one_round_property(and2_at16):
@@ -140,7 +195,6 @@ def test_one_round_property(and2_at16):
     reqs = [m for m in transcript.messages if isinstance(m, SampleRequest)]
     batches = [m for m in transcript.messages if isinstance(m, SampleBatch)]
     assert len(reqs) == 1 and len(batches) <= 1
-    assert transcript.kprime1 == 0
 
 
 def test_step2_separation_with_exact_coefficients():
@@ -184,7 +238,8 @@ def test_constant_adversary_rejected_on_and2(and2_at16):
     p = params16()
     rejected = 0
     for t in range(20):
-        prover = adversary("constant", np.random.default_rng(t), n=16)
+        prover = make_prover("constant", spec, BitFlipNoise(0.0),
+                             np.random.default_rng(t), j=2, tau=0.5)
         outcome, _ = verifier_run(p, and2_at16, prover, seed=700 + t)
         rejected += outcome == Rejected(VALIDATION_FAILED)
     assert rejected >= 18
@@ -192,7 +247,8 @@ def test_constant_adversary_rejected_on_and2(and2_at16):
 
 def test_rejected_is_never_wrong_accept(and2_at16):
     p = params16()
-    prover = adversary("constant", np.random.default_rng(10), n=16)
+    prover = make_prover("constant", and2_at16.spectrum(), BitFlipNoise(0.0),
+                         np.random.default_rng(10), j=2, tau=0.5)
     trial = protocol_trial(p, and2_at16, prover, seed=11)
     assert isinstance(trial.outcome, Rejected)
     assert trial.wrong_accept is False and trial.correct is False
@@ -216,8 +272,25 @@ def test_transcript_roundtrip_and_replay(tmp_path, and2_at16):
 
 def test_replay_reproduces_rejections(tmp_path, and2_at16):
     p = params16()
-    prover = adversary("uniform", np.random.default_rng(13), n=16)
+    prover = make_prover("uniform", and2_at16.spectrum(), BitFlipNoise(0.0),
+                         np.random.default_rng(13), j=2, tau=0.5)
     outcome, transcript = verifier_run(p, and2_at16, prover, seed=77)
     path = tmp_path / "transcript.txt"
     write_transcript(transcript, path)
     assert replay_transcript(read_transcript(path), and2_at16) == outcome
+
+
+def test_reader_ignores_the_retired_kprime1_field(tmp_path, and2_at16):
+    p = params16()
+    prover = honest_prover(and2_at16.spectrum(), BitFlipNoise(0.02),
+                           np.random.default_rng(14))
+    outcome, transcript = verifier_run(p, and2_at16, prover, seed=78)
+    path = tmp_path / "transcript.txt"
+    write_transcript(transcript, path)
+    lines = path.read_text().splitlines()
+    assert "kprime1" not in lines[0]
+    lines[0] = lines[0].replace(" kprime2=", " kprime1=0 kprime2=")
+    path.write_text("\n".join(lines) + "\n")
+    back = read_transcript(path)
+    assert back.kprime2_used == transcript.kprime2_used
+    assert replay_transcript(back, and2_at16) == outcome
