@@ -7,8 +7,13 @@ position. Consequences used throughout the package:
 * the length-m prefix of a width-n value is ``v >> (n - m)``,
 * lexicographic order on equal-width strings is plain integer order,
 * Hamming distance is the popcount of an XOR.
+
+The text form is one '0'/'1' row per value: format_rows and parse_rows
+are the batch codec every reader and writer of the package goes through.
 """
 from __future__ import annotations
+
+import re
 
 import numpy as np
 
@@ -36,24 +41,92 @@ def check_value(v: int, n: int) -> int:
     return v
 
 
+class RowError(ValueError):
+    """A malformed row in a batch of text rows; ``row`` is its 0-based index."""
+
+    def __init__(self, row: int, reason: str):
+        super().__init__(f"row {row}: {reason}")
+        self.row, self.reason = row, reason
+
+
 def parse_bits(s: str) -> tuple[int, int]:
     """Parse a '0'/'1' string into (value, width)."""
-    n = check_width(len(s))
-    v = 0
-    for ch in s:
-        if ch == "1":
-            v = (v << 1) | 1
-        elif ch == "0":
-            v = v << 1
-        else:
-            raise ValueError(f"invalid bit character {ch!r} in {s!r}")
-    return v, n
+    values, n = parse_rows([s])
+    return int(values[0]), n
 
 
 def format_bits(v: int, n: int) -> str:
     """Format a packed value as a width-n '0'/'1' string."""
-    check_value(v, n)
-    return format(v, f"0{n}b")
+    return format_rows([v], n)
+
+
+def fits_rows(values, n) -> bool:
+    """True when ``values`` is a nonempty 1-D uint64 array that format_rows
+    writes at width n, so that parse_rows reads it back."""
+    return (isinstance(values, np.ndarray) and values.dtype == np.uint64
+            and values.ndim == 1 and values.size > 0
+            and isinstance(n, (int, np.integer)) and 1 <= n <= MAX_WIDTH
+            and not int(values.max()) >> int(n))
+
+
+def format_rows(values, n: int, labels=None) -> str:
+    """The values as width-n '0'/'1' rows joined by newlines; with
+    ``labels`` each row ends in a space and its 0/1 label."""
+    n = check_width(n)
+    words = _words(values, n)
+    big_endian = (words << np.uint64(64 - n)).astype(">u8").view(np.uint8)
+    bits = np.unpackbits(big_endian.reshape(-1, 8), axis=1, count=n)
+    tail = ""
+    if labels is not None:
+        bits, tail = np.column_stack([bits, _words(labels, 1).astype(np.uint8)]), " 1"
+    template = np.frombuffer(f"{'1' * n}{tail}\n".encode(), dtype=np.uint8)
+    rows = np.tile(template, (len(words), 1))
+    rows[:, template == ord("1")] = bits | ord("0")
+    return rows.tobytes()[:-1].decode("ascii")
+
+
+def parse_rows(lines) -> tuple[np.ndarray, int]:
+    """Parse equal-width '0'/'1' rows into (uint64 values, width); a ragged
+    or non-'0'/'1' row raises RowError naming its index."""
+    bits, n = _bit_rows(lines, "")
+    return pack_rows(bits), n
+
+
+def parse_labelled_rows(lines) -> tuple[np.ndarray, np.ndarray, int]:
+    """Parse "bits<space>label" rows into (uint64 values, uint8 labels, width)."""
+    bits, n = _bit_rows(lines, " 1")
+    return pack_rows(bits[:, :n]), bits[:, n], n
+
+
+def _words(values, n: int) -> np.ndarray:
+    """values as a uint64 array that fits_rows accepts (one max test)."""
+    words = np.asarray(values)
+    if words.size == 0 or words.dtype.kind in "biu" and words.min() >= 0:
+        words = words.astype(np.uint64, copy=False)
+    if words.size and not fits_rows(words, n):
+        raise ValueError(f"bit strings must be a 1-D batch of integers in [0, 2**{n})")
+    return words
+
+
+def _bit_rows(lines, tail: str) -> tuple[np.ndarray, int]:
+    """The 0/1 matrix of the bit columns of rows laid out as n bits and
+    ``tail`` (each '1' in it one more bit), with n read off the first row."""
+    lines = list(lines)
+    n = len(lines[0]) - len(tail) if lines else 0
+    if not 1 <= n <= MAX_WIDTH:
+        raise RowError(0, f"width {n} is not in 1..{MAX_WIDTH}")
+    template = np.frombuffer(f"{'1' * n}{tail}\n".encode(), dtype=np.uint8)
+    is_bit = template == ord("1")
+    # a non-ASCII character becomes one '?' byte, so columns stay aligned
+    data = np.frombuffer(("\n".join(lines) + "\n").encode("ascii", "replace"),
+                         dtype=np.uint8)
+    if data.size == len(lines) * template.size:
+        rows = data.reshape(-1, template.size)
+        if ((rows | is_bit) == template).all():  # c | 1 is "1" just for "0" and "1"
+            return rows[:, is_bit] & np.uint8(1), n
+    form = re.compile("[01]" * n + tail.replace("1", "[01]"))
+    row = next(i for i, line in enumerate(lines) if not form.fullmatch(line))
+    raise RowError(row, f"{lines[row]!r} is not {n} bits{' and a label' * bool(tail)}")
 
 
 def hamming(a: int, b: int) -> int:

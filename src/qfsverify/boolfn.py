@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bits import CapacityError, check_value, check_width, format_bits, parity, parse_bits
+from .bits import (CapacityError, RowError, check_value, check_width, format_bits,
+                   parity, parse_rows)
 
 DENSE_WIDTH_CAP = 24
 BRUTEFORCE_WIDTH_CAP = 16
@@ -244,20 +245,16 @@ def write_spectrum(spec: FourierSpectrum, path) -> None:
 
 
 def read_spectrum(path) -> FourierSpectrum:
-    entries: dict[int, float] = {}
-    n = None
     with open(path) as fh:
-        for line in fh:
-            rec = json.loads(line)
-            v, w = parse_bits(rec["s"])
-            if n is None:
-                n = w
-            elif w != n:
-                raise ValueError("inconsistent widths in spectrum file")
-            entries[v] = float(rec["coeff"])
-    if n is None:
+        records = [json.loads(line) for line in fh]
+    if not records:
         raise ValueError("empty spectrum file")
-    return FourierSpectrum(n, entries)
+    try:
+        support, n = parse_rows([rec["s"] for rec in records])
+    except RowError as exc:
+        raise ValueError(f"line {exc.row + 1}: {exc.reason}") from None
+    return FourierSpectrum(n, dict(zip(support.tolist(),
+                                       (float(rec["coeff"]) for rec in records))))
 
 
 def coeff_bruteforce(f: BooleanFunction, s: int) -> float:

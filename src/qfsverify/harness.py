@@ -146,6 +146,10 @@ def _target(cfg: ExperimentConfig, fixed: BooleanFunction | None,
     raise RuntimeError(f"no target with support >= {min_support} found")
 
 
+def _prover_kind(cfg: ExperimentConfig) -> str:
+    return cfg.adversary if cfg.mode == "verify-sound" else HONEST
+
+
 def run_trial(cfg: ExperimentConfig, index: int,
               fixed: BooleanFunction | None) -> TrialRecord:
     trial_seed = derive_seed(cfg.seed, index)
@@ -157,9 +161,8 @@ def run_trial(cfg: ExperimentConfig, index: int,
     start = time.perf_counter()
 
     # omit adversaries need a second heavy string to leave behind
-    kind = cfg.adversary if cfg.mode == "verify-sound" else HONEST
-    min_support = ADVERSARY_KINDS.get(kind, 1)
-    f, spec = _target(cfg, fixed, gen_rng, min_support)
+    kind = _prover_kind(cfg)
+    f, spec = _target(cfg, fixed, gen_rng, ADVERSARY_KINDS.get(kind, 1))
 
     if cfg.mode == "rectify":
         theta = cfg.tau * cfg.tau
@@ -198,6 +201,10 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[Summary, list[TrialRecord]]:
     fixed = read_function(cfg.function_file) if cfg.function_file else None
     if fixed is not None and fixed.n != cfg.n:
         raise ValueError(f"function: file width {fixed.n} != config n {cfg.n}")
+    need = ADVERSARY_KINDS.get(_prover_kind(cfg), 1)
+    if fixed is not None and len(fixed.spectrum().entries) < need:
+        raise ValueError(f"function: {cfg.adversary} needs a target with at least "
+                         f"{need} support strings")
     workers = cfg.threads if cfg.threads > 0 else (os.cpu_count() or 1)
     if workers == 1:
         records = [run_trial(cfg, i, fixed) for i in range(cfg.trials)]

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import check_width, format_bits, parse_bits, random_words
+from .bits import (RowError, format_rows, parse_labelled_rows, parse_rows,
+                   random_words)
 from .boolfn import FourierSpectrum
 from .noise import DepolarizingNoise, NoiseChannel, apply
 
@@ -171,56 +172,37 @@ def _physical_batch(sampler: P0Sampler, channel: DepolarizingNoise, count: int,
 
 def write_samples(samples: np.ndarray, n: int, path) -> None:
     """One '0'/'1' string of length n per line."""
-    check_width(n)
-    with open(path, "w") as fh:
-        for s in samples:
-            fh.write(format_bits(int(s), n) + "\n")
+    _write_rows(path, format_rows(samples, n))
 
 
 def read_samples(path) -> tuple[np.ndarray, int]:
-    values = []
-    n = None
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            v, w = parse_bits(line)
-            if n is None:
-                n = w
-            elif w != n:
-                raise ValueError(f"line {lineno}: width {w} != {n}")
-            values.append(v)
-    if n is None:
-        raise ValueError("sample file is empty")
-    return np.array(values, dtype=np.uint64), n
+    return _read_rows(path, "sample", parse_rows)
 
 
 def write_examples(batch: ExampleBatch, path) -> None:
     """One "x-string<space>bit" record per line."""
-    with open(path, "w") as fh:
-        for x, fx in zip(batch.xs, batch.fxs):
-            fh.write(f"{format_bits(int(x), batch.n)} {int(fx)}\n")
+    _write_rows(path, format_rows(batch.xs, batch.n, labels=batch.fxs))
 
 
 def read_examples(path) -> ExampleBatch:
-    xs, fxs = [], []
-    n = None
+    xs, fxs, n = _read_rows(path, "example", parse_labelled_rows)
+    return ExampleBatch(n, xs, fxs)
+
+
+def _write_rows(path, text: str) -> None:
+    with open(path, "w") as fh:
+        fh.write(text + "\n" if text else "")
+
+
+def _read_rows(path, kind: str, parse):
+    """``parse`` of a dump's nonblank lines, each with its whitespace runs
+    collapsed to one space; a fault names its line number."""
     with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 2 or parts[1] not in ("0", "1"):
-                raise ValueError(f"line {lineno}: expected 'bits bit', got {line!r}")
-            v, w = parse_bits(parts[0])
-            if n is None:
-                n = w
-            elif w != n:
-                raise ValueError(f"line {lineno}: width {w} != {n}")
-            xs.append(v)
-            fxs.append(int(parts[1]))
-    if n is None:
-        raise ValueError("example file is empty")
-    return ExampleBatch(n, np.array(xs, dtype=np.uint64), np.array(fxs, dtype=np.uint8))
+        rows = [" ".join(line.split()) for line in fh]
+    linenos = [i for i, row in enumerate(rows, 1) if row]
+    if not linenos:
+        raise ValueError(f"{kind} file is empty")
+    try:
+        return parse([rows[i - 1] for i in linenos])
+    except RowError as exc:
+        raise ValueError(f"line {linenos[exc.row]}: {exc.reason}") from None

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import check_width, format_bits, parse_bits, random_words
+from .bits import (RowError, check_width, fits_rows, format_bits, format_rows,
+                   parse_bits, parse_rows, random_words)
 from .boolfn import BooleanFunction, FourierSpectrum, gen_ftau
 from .noise import NoiseChannel
 from .oracles import draw_examples, sample_batch
@@ -139,9 +140,7 @@ def serialize(msg: Message) -> str:
     if isinstance(msg, SampleRequest):
         return f"REQ {msg.count}"
     if isinstance(msg, SampleBatch):
-        lines = [f"BATCH {len(msg.samples)}"]
-        lines.extend(format_bits(int(s), msg.n) for s in msg.samples)
-        return "\n".join(lines)
+        return f"BATCH {len(msg.samples)}\n" + format_rows(msg.samples, msg.n)
     raise ValueError(f"not a message: {msg!r}")
 
 
@@ -169,20 +168,11 @@ def _parse_message(lines: list[str], start: int) -> tuple[Message, int]:
         return SampleRequest(count), start + 1
     if len(lines) - start - 1 < count:
         raise ParseError(len(lines) + 1, f"batch needs {count} sample lines")
-    values = []
-    n = None
-    for i in range(count):
-        lineno = start + 1 + i
-        try:
-            v, w = parse_bits(lines[lineno])
-        except ValueError as exc:
-            raise ParseError(lineno + 1, str(exc)) from None
-        if n is None:
-            n = w
-        elif w != n:
-            raise ParseError(lineno + 1, f"width {w} != {n}")
-        values.append(v)
-    return SampleBatch(n, np.array(values, dtype=np.uint64)), start + 1 + count
+    try:
+        values, n = parse_rows(lines[start + 1:start + 1 + count])
+    except RowError as exc:
+        raise ParseError(start + 2 + exc.row, exc.reason) from None
+    return SampleBatch(n, values), start + 1 + count
 
 
 def honest_prover(spec: FourierSpectrum, channel: NoiseChannel,
@@ -237,7 +227,9 @@ def verifier_run(params: VerifierParams, f: BooleanFunction, prover,
     bit-exactly against its recorded batch. The target function is used
     through the random example oracle only. A prover that raises is
     rejected with ProverError; a reply that is not a 1-D uint64 batch of
-    the requested count and width is rejected with BadBatch.
+    the requested count and width is rejected with BadBatch. A reply is
+    recorded only when the wire format can carry it, so every transcript
+    can be written and read back.
     """
     rng = np.random.default_rng(seed)
     req = SampleRequest(params.k)
@@ -247,16 +239,13 @@ def verifier_run(params: VerifierParams, f: BooleanFunction, prover,
     except Exception:  # the prover is untrusted: its failure is a rejection
         outcome: Outcome = Rejected(PROVER_ERROR)
         return outcome, Transcript(params, seed, messages, outcome)
-    samples = reply.samples if isinstance(reply, SampleBatch) else None
-    shaped = (isinstance(samples, np.ndarray) and samples.ndim == 1
-              and samples.dtype == np.uint64)
-    if shaped:
+    writable = isinstance(reply, SampleBatch) and fits_rows(reply.samples, reply.n)
+    if writable:
         messages.append(reply)
-    if (not shaped or reply.n != params.n or len(samples) != req.count
-            or int(samples.max()) >> params.n):
+    if not writable or reply.n != params.n or len(reply.samples) != req.count:
         outcome = Rejected(BAD_BATCH)
         return outcome, Transcript(params, seed, messages, outcome)
-    candidates = rectify(samples, params.n, params.theta, rng)
+    candidates = rectify(reply.samples, params.n, params.theta, rng)
     ex2 = draw_examples(f, params.kprime2, rng)
     est2 = estimate_coeffs(candidates, ex2)
     validation_sum = sum(v * v for v in est2.values())
@@ -351,7 +340,10 @@ def read_transcript(path) -> Transcript:
         raise ParseError(len(lines) + 1, "missing OUTCOME line")
     parts = lines[pos].split()
     if len(parts) == 3 and parts[1] == "ACCEPT":
-        s0, w = parse_bits(parts[2])
+        try:
+            s0, w = parse_bits(parts[2])
+        except RowError as exc:
+            raise ParseError(pos + 1, f"outcome {exc.reason}") from None
         if w != params.n:
             raise ParseError(pos + 1, f"outcome width {w} != {params.n}")
         outcome: Outcome = Accepted(s0)

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .bits import check_width, hamming, popcount
+from .bits import check_width, fits_rows, hamming, popcount
 from .boolfn import FourierSpectrum
 
 _MATCH_CHUNK = 1 << 16
@@ -102,10 +102,8 @@ def rectify(samples, n: int, theta: float, rng: np.random.Generator) -> list[int
     check_width(n)
     cap = list_cap(theta)
     samples = np.asarray(samples, dtype=np.uint64)
-    if samples.ndim != 1 or samples.size == 0:
-        raise ValueError("sample list must be a nonempty 1-d sequence")
-    if int(samples.max()) >> n:
-        raise ValueError(f"sample value exceeds width {n}")
+    if not fits_rows(samples, n):
+        raise ValueError(f"samples must be a nonempty 1-d sequence of width-{n} values")
     level = np.zeros(1, dtype=np.uint64)  # the empty prefix
     for m in range(1, n + 1):
         cand = np.empty(2 * len(level), dtype=np.uint64)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .bits import format_bits
 from .boolfn import BooleanFunction, coeff_bruteforce, gen_ftau
 from .noise import analytic_noisy_dist, eta_eff, p0_eff
 from .rectify import p_d_poly, rectify, required_samples
@@ -72,7 +73,7 @@ def check_sample_formulas() -> tuple[bool, str]:
 def check_rectify_trace() -> tuple[bool, str]:
     samples = [0b00] * 5 + [0b11] * 4 + [0b01]
     found = rectify(samples, 2, 0.6, np.random.default_rng(0))
-    return found == [0b00, 0b11, 0b01], f"hand trace -> {[format(s, '02b') for s in found]}"
+    return found == [0b00, 0b11, 0b01], f"hand trace -> {[format_bits(s, 2) for s in found]}"
 
 
 SUITES = [

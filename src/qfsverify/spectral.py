@@ -26,20 +26,15 @@ def examples_needed(m: int, eps: float, delta: float) -> int:
     return math.ceil(2.0 / (eps * eps) * math.log(2.0 * m / delta))
 
 
-def estimate_coeffs(s_set, examples) -> dict[int, float]:
+def estimate_coeffs(s_set, examples: ExampleBatch) -> dict[int, float]:
     """Empirical coefficients: mean of (1 - 2 f(x)) * chi_s(x) per candidate.
 
-    ``examples`` is an ExampleBatch or a sequence of RandomExample. Each
-    summand is +/-1, so sums are accumulated exactly in integers and
+    Each summand is +/-1, so sums are accumulated exactly in integers and
     divided once; estimates on a full truth table are exact.
     """
     if len(examples) == 0:
         raise ValueError("example list is empty")
-    if isinstance(examples, ExampleBatch):
-        xs, fxs = examples.xs, examples.fxs
-    else:
-        xs = np.array([e.x for e in examples], dtype=np.uint64)
-        fxs = np.array([e.fx for e in examples], dtype=np.uint8)
+    xs, fxs = examples.xs, examples.fxs
     g = 1 - 2 * fxs.astype(np.int64)
     k = len(xs)
     out: dict[int, float] = {}

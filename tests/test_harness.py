@@ -1,9 +1,11 @@
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 
-from qfsverify.boolfn import write_function
+from qfsverify import harness
+from qfsverify.boolfn import BooleanFunction, write_function
 from qfsverify.harness import (ExperimentConfig, TrialRecord, derive_seed,
                                run_experiment, run_trial, wilson_interval)
 
@@ -127,6 +129,18 @@ def test_fixed_function_file(tmp_path, and2_at16):
                                                    function=str(path)))
     with pytest.raises(ValueError, match="function"):
         run_experiment(wrong)
+
+
+def test_omit_on_a_one_string_target_is_refused_up_front(tmp_path, monkeypatch):
+    # the parity x3 has one support string, so there is nothing left to omit
+    xs = np.arange(1 << 16)
+    path = tmp_path / "x3.fn"
+    write_function(BooleanFunction.dense(16, (xs >> 13) & 1), path)
+    cfg = ExperimentConfig.from_dict(base_config(
+        mode="verify-sound", adversary="omit", trials=2, function=str(path)))
+    monkeypatch.setattr(harness, "run_trial", None)  # no trial may start
+    with pytest.raises(ValueError, match="function: omit needs .* 2 support strings"):
+        run_experiment(cfg)
 
 
 def test_records_persistence(tmp_path):

@@ -146,7 +146,7 @@ def test_unknown_adversary():
                     j=1, tau=0.5)
 
 
-def test_bad_batch_is_deterministic(and2_at16):
+def test_bad_batch_is_deterministic(tmp_path, and2_at16):
     p = params16()
 
     def short_prover(req):
@@ -161,10 +161,19 @@ def test_bad_batch_is_deterministic(and2_at16):
     def column_prover(req):  # k x 1 instead of a flat batch
         return SampleBatch(16, np.zeros((req.count, 1), dtype=np.uint64))
 
-    for prover in (short_prover, wrong_width_prover, rude_prover, column_prover):
+    def overflow_prover(req):  # values wider than n bits
+        return SampleBatch(16, [1 << 20] * req.count)
+
+    for prover in (short_prover, wrong_width_prover, rude_prover, column_prover,
+                   overflow_prover):
         outcome, transcript = verifier_run(p, and2_at16, prover, seed=123)
         assert outcome == Rejected(BAD_BATCH)
         assert transcript.kprime2_used == 0 and transcript.kprime3_used == 0
+        path = tmp_path / "transcript.txt"
+        write_transcript(transcript, path)
+        back = read_transcript(path)
+        assert back.outcome == outcome and back.messages == transcript.messages
+        assert replay_transcript(back, and2_at16) == outcome
 
 
 def test_prover_exception_is_rejected(tmp_path, and2_at16):
