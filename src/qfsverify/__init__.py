@@ -18,7 +18,7 @@ from .protocol import (Accepted, Rejected, SampleBatch, SampleRequest, Transcrip
                        VerifierParams, honest_prover, make_prover, protocol_trial,
                        read_transcript, replay_transcript, verifier_run,
                        write_transcript)
-from .rectify import heavy_set, list_cap, nearest_match, p_d_poly, rectify, required_samples
+from .rectify import heavy_set, list_cap, p_d_poly, rectify, required_samples
 from .spectral import (SparseEstimate, estimate_coeffs, examples_needed,
                        learn_parity, regret, sparse_estimate)
 

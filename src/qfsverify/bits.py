@@ -9,7 +9,8 @@ position. Consequences used throughout the package:
 * Hamming distance is the popcount of an XOR.
 
 The text form is one '0'/'1' row per value: format_rows and parse_rows
-are the batch codec every reader and writer of the package goes through.
+are the batch codec every reader and writer of the package goes through;
+format_table and parse_table carry a truth table as one '0'/'1' string.
 """
 from __future__ import annotations
 
@@ -127,6 +128,19 @@ def _bit_rows(lines, tail: str) -> tuple[np.ndarray, int]:
     form = re.compile("[01]" * n + tail.replace("1", "[01]"))
     row = next(i for i, line in enumerate(lines) if not form.fullmatch(line))
     raise RowError(row, f"{lines[row]!r} is not {n} bits{' and a label' * bool(tail)}")
+
+
+def format_table(bits) -> str:
+    """A 0/1 array as one '0'/'1' string, one character per entry."""
+    return (np.asarray(bits, dtype=np.uint8) | ord("0")).tobytes().decode("ascii")
+
+
+def parse_table(text: str) -> np.ndarray:
+    """The uint8 0/1 array of a '0'/'1' string; other characters raise ValueError."""
+    data = np.frombuffer(text.encode("ascii", "replace"), dtype=np.uint8)
+    if ((data | 1) != ord("1")).any():
+        raise ValueError("a table must be a string of '0'/'1' characters")
+    return data & np.uint8(1)
 
 
 def hamming(a: int, b: int) -> int:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bits import (CapacityError, RowError, check_value, check_width, format_bits,
-                   parity, parse_rows)
+                   format_table, parity, parse_rows, parse_table)
 
 DENSE_WIDTH_CAP = 24
 BRUTEFORCE_WIDTH_CAP = 16
@@ -117,7 +117,7 @@ class BooleanFunction:
         rec = {
             "n": self.n,
             "kind": "dense" if self.coords is None else "junta",
-            "table": "".join("1" if b else "0" for b in self.table),
+            "table": format_table(self.table),
         }
         if self.coords is not None:
             rec["coords"] = list(self.coords)
@@ -125,7 +125,7 @@ class BooleanFunction:
 
     @classmethod
     def from_record(cls, rec: dict) -> "BooleanFunction":
-        table = np.frombuffer(rec["table"].encode(), dtype=np.uint8) - ord("0")
+        table = parse_table(rec["table"])
         if rec["kind"] == "dense":
             return cls.dense(rec["n"], table)
         if rec["kind"] == "junta":

@@ -3,8 +3,10 @@
 The algorithm grows candidate prefixes one bit at a time. At step m every
 surviving prefix is extended by 0 and by 1, each sample's m-bit prefix is
 matched to the nearest candidate in Hamming distance (ties broken
-uniformly at random), and the floor(2/theta) candidates with the largest
-match counts survive. The full sample list is reused at every step.
+uniformly at random, one row of uniforms per tied sample in sample order),
+and the floor(2/theta) candidates with the largest match counts survive.
+Samples are sorted once, so equal prefixes form runs at every step and
+each distinct prefix is matched once for its whole group.
 """
 from __future__ import annotations
 
@@ -12,10 +14,8 @@ import math
 
 import numpy as np
 
-from .bits import check_width, fits_rows, hamming, popcount
+from .bits import check_width, fits_rows, popcount
 from .boolfn import FourierSpectrum
-
-_MATCH_CHUNK = 1 << 16
 
 
 def required_samples(n: int, theta: float, delta: float) -> int:
@@ -56,35 +56,6 @@ def p_d_poly(eta: float, d: int) -> float:
     return total
 
 
-def nearest_match(t_prefix: int, candidates, rng: np.random.Generator) -> int:
-    """Index of a candidate at minimal Hamming distance; ties uniform at random."""
-    if len(candidates) == 0:
-        raise ValueError("candidate list is empty")
-    dists = [hamming(t_prefix, int(c)) for c in candidates]
-    best = min(dists)
-    ties = [i for i, d in enumerate(dists) if d == best]
-    if len(ties) == 1:
-        return ties[0]
-    return ties[int(rng.integers(len(ties)))]
-
-
-def _match_counts(prefixes: np.ndarray, cand: np.ndarray,
-                  rng: np.random.Generator) -> np.ndarray:
-    """Per-candidate match counts over all prefixes, random tie-breaks."""
-    counts = np.zeros(len(cand), dtype=np.int64)
-    for lo in range(0, len(prefixes), _MATCH_CHUNK):
-        chunk = prefixes[lo:lo + _MATCH_CHUNK]
-        dist = popcount(chunk[:, None] ^ cand[None, :])
-        is_min = dist == dist.min(axis=1, keepdims=True)
-        choice = np.argmax(is_min, axis=1)
-        tied = np.nonzero(is_min.sum(axis=1) > 1)[0]
-        if tied.size:
-            draw = np.where(is_min[tied], rng.random((tied.size, len(cand))), -1.0)
-            choice[tied] = np.argmax(draw, axis=1)
-        counts += np.bincount(choice, minlength=len(cand))
-    return counts
-
-
 def rectify(samples, n: int, theta: float, rng: np.random.Generator) -> list[int]:
     """Run the prefix-recovery recursion on noisy samples.
 
@@ -104,14 +75,29 @@ def rectify(samples, n: int, theta: float, rng: np.random.Generator) -> list[int
     samples = np.asarray(samples, dtype=np.uint64)
     if not fits_rows(samples, n):
         raise ValueError(f"samples must be a nonempty 1-d sequence of width-{n} values")
+    order = np.argsort(samples, kind="stable")
+    ranked = samples[order]
+    start = np.ones(len(ranked), dtype=bool)  # where a run of equal prefixes starts
     level = np.zeros(1, dtype=np.uint64)  # the empty prefix
     for m in range(1, n + 1):
-        cand = np.empty(2 * len(level), dtype=np.uint64)
-        cand[0::2] = level << np.uint64(1)
-        cand[1::2] = (level << np.uint64(1)) | np.uint64(1)
-        prefixes = samples >> np.uint64(n - m)
-        counts = _match_counts(prefixes, cand, rng)
+        cand = ((level[:, None] << np.uint64(1)) | np.arange(2, dtype=np.uint64)).ravel()
+        prefixes = ranked >> np.uint64(n - m)
+        np.not_equal(prefixes[1:], prefixes[:-1], out=start[1:])
+        first = np.flatnonzero(start)
+        word = np.min_scalar_type((1 << m) - 1)  # the narrowest type of m-bit values
+        dist = popcount(prefixes[first, None].astype(word) ^ cand.astype(word))
+        is_min = dist == dist.min(axis=1, keepdims=True)
+        tied = is_min.sum(axis=1) > 1
+        size = np.diff(first, append=len(ranked))
+        counts = np.bincount(np.argmax(is_min, axis=1), weights=np.where(tied, 0, size),
+                             minlength=len(cand)).astype(np.int64)  # exact in float64
+        if tied.any():  # the tied samples' groups, put back in sample order
+            group = np.repeat(np.flatnonzero(tied), size[tied])
+            group = group[np.argsort(order[np.repeat(tied, size)])]
+            draw = rng.random((group.size, len(cand)))
+            draw[~is_min[group]] = -1.0
+            counts += np.bincount(np.argmax(draw, axis=1), minlength=len(cand))
+            del draw, group  # freed before the next step's distance matrix
         # primary key: count descending; tie key: prefix ascending
-        order = np.lexsort((cand, -counts))
-        level = cand[order][:cap]
+        level = cand[np.lexsort((cand, -counts))][:cap]
     return [int(s) for s in level]

@@ -1,0 +1,65 @@
+"""Test-only reference implementations, kept as oracles for faster code.
+
+nearest_match is rectify's matching step for one prefix. rectify_dense is
+the per-sample matcher that rectify.rectify replaced: it forms the
+k x 2cap distance matrix at every level, in 65,536-row chunks, and draws
+the tie-break uniforms chunk by chunk. rectify must return the same list
+and leave the generator in the same state.
+"""
+from __future__ import annotations
+
+import numpy as np
+
+from qfsverify.bits import check_width, fits_rows, hamming, popcount
+from qfsverify.rectify import list_cap
+
+_MATCH_CHUNK = 1 << 16
+
+
+def nearest_match(t_prefix: int, candidates, rng: np.random.Generator) -> int:
+    """Index of a candidate at minimal Hamming distance; ties uniform at random."""
+    if len(candidates) == 0:
+        raise ValueError("candidate list is empty")
+    dists = [hamming(t_prefix, int(c)) for c in candidates]
+    best = min(dists)
+    ties = [i for i, d in enumerate(dists) if d == best]
+    if len(ties) == 1:
+        return ties[0]
+    return ties[int(rng.integers(len(ties)))]
+
+
+def _match_counts(prefixes: np.ndarray, cand: np.ndarray,
+                  rng: np.random.Generator) -> np.ndarray:
+    """Per-candidate match counts over all prefixes, random tie-breaks."""
+    counts = np.zeros(len(cand), dtype=np.int64)
+    for lo in range(0, len(prefixes), _MATCH_CHUNK):
+        chunk = prefixes[lo:lo + _MATCH_CHUNK]
+        dist = popcount(chunk[:, None] ^ cand[None, :])
+        is_min = dist == dist.min(axis=1, keepdims=True)
+        choice = np.argmax(is_min, axis=1)
+        tied = np.nonzero(is_min.sum(axis=1) > 1)[0]
+        if tied.size:
+            draw = np.where(is_min[tied], rng.random((tied.size, len(cand))), -1.0)
+            choice[tied] = np.argmax(draw, axis=1)
+        counts += np.bincount(choice, minlength=len(cand))
+    return counts
+
+
+def rectify_dense(samples, n: int, theta: float, rng: np.random.Generator) -> list[int]:
+    """rectify with one distance row per sample at every level."""
+    check_width(n)
+    cap = list_cap(theta)
+    samples = np.asarray(samples, dtype=np.uint64)
+    if not fits_rows(samples, n):
+        raise ValueError(f"samples must be a nonempty 1-d sequence of width-{n} values")
+    level = np.zeros(1, dtype=np.uint64)  # the empty prefix
+    for m in range(1, n + 1):
+        cand = np.empty(2 * len(level), dtype=np.uint64)
+        cand[0::2] = level << np.uint64(1)
+        cand[1::2] = (level << np.uint64(1)) | np.uint64(1)
+        prefixes = samples >> np.uint64(n - m)
+        counts = _match_counts(prefixes, cand, rng)
+        # primary key: count descending; tie key: prefix ascending
+        order = np.lexsort((cand, -counts))
+        level = cand[order][:cap]
+    return [int(s) for s in level]

@@ -6,9 +6,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qfsverify.bits import (RowError, format_rows, parse_labelled_rows,
-                            parse_rows, random_words)
-from qfsverify.boolfn import write_function
+from qfsverify.bits import (RowError, format_rows, format_table,
+                            parse_labelled_rows, parse_rows, parse_table,
+                            random_words)
+from qfsverify.boolfn import (BooleanFunction, gen_ftau, read_function,
+                              write_function)
 from qfsverify.cli import main
 from qfsverify.noise import BitFlipNoise
 from qfsverify.oracles import (draw_examples, read_examples, read_samples,
@@ -244,6 +246,44 @@ def test_written_formats_are_pinned(tmp_path, and2_at16):
     got["cli_sample"] = _digest((tmp_path / "cs.txt").read_bytes())
     got["cli_rectify"] = _digest((tmp_path / "r.txt").read_bytes())
     assert got == PINNED_OUTPUTS
+
+
+# sha256 prefixes of write_function output, captured from the per-entry
+# table writer that format_table replaced
+PINNED_FUNCTIONS = {"dense": "42c800d4666e61c9", "junta": "8cfa1552724b29bf"}
+
+
+def test_function_files_are_pinned(tmp_path):
+    functions = {
+        "dense": BooleanFunction.dense(
+            12, np.random.default_rng(48).integers(0, 2, size=1 << 12)),
+        "junta": gen_ftau(16, 3, 0.25, np.random.default_rng(49)),
+    }
+    got = {}
+    for name, f in functions.items():
+        write_function(f, tmp_path / "f.fn")
+        got[name] = _digest((tmp_path / "f.fn").read_bytes())
+        g = read_function(tmp_path / "f.fn")
+        assert g.coords == f.coords and np.array_equal(g.table, f.table)
+    assert got == PINNED_FUNCTIONS
+
+
+@relaxed
+@given(st.lists(st.integers(0, 1), max_size=300))
+def test_table_text_round_trips(entries):
+    text = format_table(np.array(entries, dtype=np.uint8))
+    assert text == "".join(map(str, entries))
+    assert parse_table(text).tolist() == entries
+
+
+@pytest.mark.parametrize("bad", ["0120", "01 0", "0/10", "01\n0", "01\u00e90", "0o10"])
+def test_bad_table_characters_raise(tmp_path, bad):
+    with pytest.raises(ValueError):
+        parse_table(bad)
+    path = tmp_path / "f.fn"
+    path.write_text('{"n": 2, "kind": "dense", "table": "%s"}' % bad)
+    with pytest.raises(ValueError):
+        read_function(path)
 
 
 def test_dump_readers_keep_their_leniency(tmp_path):

@@ -1,13 +1,19 @@
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qfsverify.boolfn import FourierSpectrum
-from qfsverify.noise import BitFlipNoise
+from qfsverify.bits import random_words
+from qfsverify.boolfn import FourierSpectrum, gen_ftau
+from qfsverify.noise import BitFlipNoise, BlockFlipNoise
 from qfsverify.oracles import sample_batch
-from qfsverify.rectify import (heavy_set, list_cap, nearest_match, p_d_poly,
-                               rectify, required_samples)
+from qfsverify.protocol import VerifierParams
+from qfsverify.rectify import (heavy_set, list_cap, p_d_poly, rectify,
+                               required_samples)
+from reference import nearest_match, rectify_dense
 
 
 def test_required_samples_closed_form():
@@ -165,3 +171,68 @@ def test_rectify_with_noise_smoke(and2_at16):
         batch = sample_batch(spec, BitFlipNoise(0.02), k, rng)
         ok += heavy.issubset(rectify(batch, 16, theta, rng))
     assert ok >= 9
+
+
+def _batch(kind: str, n: int, k: int, rng: np.random.Generator) -> np.ndarray:
+    if kind == "uniform":
+        return random_words(rng, k, n)
+    channel = BitFlipNoise(0.025) if kind == "bitflip" else BlockFlipNoise(0.01)
+    return sample_batch(gen_ftau(n, 2, 0.5, rng).spectrum(), channel, k, rng)
+
+
+@pytest.mark.parametrize("theta", [0.25, 0.11])  # cap 8 and cap 18
+@pytest.mark.parametrize("kind", ["bitflip", "blockflip", "uniform"])
+@pytest.mark.parametrize("n", [8, 16, 32, 64])
+def test_rectify_matches_dense_matcher_bit_for_bit(n, kind, theta):
+    # n = 16 crosses the dense matcher's 65,536-row chunk boundary
+    k = 66_000 if n == 16 else 3_000
+    samples = _batch(kind, n, k, np.random.default_rng(n))
+    grouped, dense = np.random.default_rng(7), np.random.default_rng(7)
+    assert rectify(samples, n, theta, grouped) == rectify_dense(samples, n, theta, dense)
+    assert grouped.bit_generator.state == dense.bit_generator.state
+
+
+@settings(deadline=None, max_examples=60)
+@given(n=st.integers(1, 20), theta=st.floats(0.05, 0.95), seed=st.integers(0, 2 ** 32),
+       data=st.data())
+def test_rectify_list_is_capped_and_distinct(n, theta, seed, data):
+    samples = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=300))
+    out = rectify(samples, n, theta, np.random.default_rng(seed))
+    assert len(out) <= list_cap(theta)
+    assert len(set(out)) == len(out)
+
+
+@settings(deadline=None, max_examples=60)
+@given(n=st.integers(1, 64), theta=st.floats(0.05, 0.95), seeds=st.tuples(
+    st.integers(0, 2 ** 32), st.integers(0, 2 ** 32)), data=st.data())
+def test_rectify_keeps_up_to_cap_distinct_values_in_any_order(n, theta, seeds, data):
+    # with at most cap distinct values, every sample's prefix is itself a
+    # candidate at each level, so no match is tied and no uniform is drawn
+    values = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1,
+                                max_size=list_cap(theta), unique=True))
+    samples = [v for v in values for _ in range(data.draw(st.integers(1, 4)))]
+    shuffled = data.draw(st.permutations(samples))
+    rng = np.random.default_rng(seeds[0])
+    before = rng.bit_generator.state
+    out = rectify(samples, n, theta, rng)
+    assert rng.bit_generator.state == before
+    assert set(values) <= set(out)
+    assert rectify(shuffled, n, theta, np.random.default_rng(seeds[1])) == out
+
+
+def test_rectify_recovers_heavy_set_at_width_64():
+    # the verifier's k at n = 64 on fresh 2-juntas under bit-flip noise;
+    # the heavy set is found in at least 1 - delta of the trials, delta = 0.1
+    # (observed: all 20)
+    start = time.perf_counter()
+    params = VerifierParams(n=64, tau=0.5, eps=0.45, delta=0.2)
+    assert params.k == 24_193
+    hits = 0
+    for trial in range(20):
+        rng = np.random.default_rng(6400 + trial)
+        spec = gen_ftau(64, 2, 0.5, rng).spectrum()
+        batch = sample_batch(spec, BitFlipNoise(0.025), params.k, rng)
+        hits += heavy_set(spec, params.theta) <= set(rectify(batch, 64, params.theta, rng))
+    elapsed = time.perf_counter() - start
+    assert hits >= 18, f"heavy set recovered in only {hits}/20 trials at n = 64"
+    assert elapsed < 10.0, f"n = 64 heavy recovery exceeded budget: {elapsed:.1f}s"
