@@ -8,9 +8,11 @@ position. Consequences used throughout the package:
 * lexicographic order on equal-width strings is plain integer order,
 * Hamming distance is the popcount of an XOR.
 
-The text form is one '0'/'1' row per value: format_rows and parse_rows
-are the batch codec every reader and writer of the package goes through;
-format_table and parse_table carry a truth table as one '0'/'1' string.
+The text form is one '0'/'1' row per value, rows separated by '\n':
+format_rows and parse_rows are the batch codec every reader and writer of
+the package goes through, and parse_rows reads the whole block of rows
+from the one string its caller already holds; format_table and
+parse_table carry a truth table as one '0'/'1' string.
 """
 from __future__ import annotations
 
@@ -51,8 +53,10 @@ class RowError(ValueError):
 
 
 def parse_bits(s: str) -> tuple[int, int]:
-    """Parse a '0'/'1' string into (value, width)."""
-    values, n = parse_rows([s])
+    """Parse one '0'/'1' string into (value, width); a second row raises RowError."""
+    values, n = parse_rows(s)
+    if len(values) != 1:
+        raise RowError(1, f"{s!r} is more than one row")
     return int(values[0]), n
 
 
@@ -86,16 +90,18 @@ def format_rows(values, n: int, labels=None) -> str:
     return rows.tobytes()[:-1].decode("ascii")
 
 
-def parse_rows(lines) -> tuple[np.ndarray, int]:
-    """Parse equal-width '0'/'1' rows into (uint64 values, width); a ragged
-    or non-'0'/'1' row raises RowError naming its index."""
-    bits, n = _bit_rows(lines, "")
+def parse_rows(text: str) -> tuple[np.ndarray, int]:
+    """Parse one text block of equal-width '0'/'1' rows, each row ended by
+    '\n' except the last, into (uint64 values, width); a ragged or
+    non-'0'/'1' row raises RowError naming its index."""
+    bits, n = _bit_rows(text, "")
     return pack_rows(bits), n
 
 
-def parse_labelled_rows(lines) -> tuple[np.ndarray, np.ndarray, int]:
-    """Parse "bits<space>label" rows into (uint64 values, uint8 labels, width)."""
-    bits, n = _bit_rows(lines, " 1")
+def parse_labelled_rows(text: str) -> tuple[np.ndarray, np.ndarray, int]:
+    """Parse a block of "bits<space>label" rows into (uint64 values, uint8
+    labels, width)."""
+    bits, n = _bit_rows(text, " 1")
     return pack_rows(bits[:, :n]), bits[:, n], n
 
 
@@ -109,22 +115,23 @@ def _words(values, n: int) -> np.ndarray:
     return words
 
 
-def _bit_rows(lines, tail: str) -> tuple[np.ndarray, int]:
-    """The 0/1 matrix of the bit columns of rows laid out as n bits and
-    ``tail`` (each '1' in it one more bit), with n read off the first row."""
-    lines = list(lines)
-    n = len(lines[0]) - len(tail) if lines else 0
+def _bit_rows(text: str, tail: str) -> tuple[np.ndarray, int]:
+    """The 0/1 matrix of the bit columns of the rows of ``text`` laid out as
+    n bits and ``tail`` (each '1' in it one more bit), with n read off the
+    first row."""
+    first = text.find("\n")
+    n = (len(text) if first < 0 else first) - len(tail)
     if not 1 <= n <= MAX_WIDTH:
         raise RowError(0, f"width {n} is not in 1..{MAX_WIDTH}")
     template = np.frombuffer(f"{'1' * n}{tail}\n".encode(), dtype=np.uint8)
     is_bit = template == ord("1")
     # a non-ASCII character becomes one '?' byte, so columns stay aligned
-    data = np.frombuffer(("\n".join(lines) + "\n").encode("ascii", "replace"),
-                         dtype=np.uint8)
-    if data.size == len(lines) * template.size:
+    data = np.frombuffer((text + "\n").encode("ascii", "replace"), dtype=np.uint8)
+    if data.size % template.size == 0:
         rows = data.reshape(-1, template.size)
         if ((rows | is_bit) == template).all():  # c | 1 is "1" just for "0" and "1"
             return rows[:, is_bit] & np.uint8(1), n
+    lines = text.split("\n")
     form = re.compile("[01]" * n + tail.replace("1", "[01]"))
     row = next(i for i, line in enumerate(lines) if not form.fullmatch(line))
     raise RowError(row, f"{lines[row]!r} is not {n} bits{' and a label' * bool(tail)}")

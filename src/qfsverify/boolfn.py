@@ -249,8 +249,12 @@ def read_spectrum(path) -> FourierSpectrum:
         records = [json.loads(line) for line in fh]
     if not records:
         raise ValueError("empty spectrum file")
+    text = "\n".join(rec["s"] for rec in records)
+    if text.count("\n") >= len(records):  # rows would not line up with records
+        line = next(i for i, rec in enumerate(records, 1) if "\n" in rec["s"])
+        raise ValueError(f"line {line}: 's' holds a newline")
     try:
-        support, n = parse_rows([rec["s"] for rec in records])
+        support, n = parse_rows(text)
     except RowError as exc:
         raise ValueError(f"line {exc.row + 1}: {exc.reason}") from None
     return FourierSpectrum(n, dict(zip(support.tolist(),

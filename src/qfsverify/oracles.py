@@ -195,14 +195,21 @@ def _write_rows(path, text: str) -> None:
 
 
 def _read_rows(path, kind: str, parse):
-    """``parse`` of a dump's nonblank lines, each with its whitespace runs
-    collapsed to one space; a fault names its line number."""
+    """``parse`` of a dump's rows. A dump as the writers write it parses
+    whole; any other is read as its nonblank lines, each with its
+    whitespace runs collapsed to one space, and a fault names its line
+    number. Collapsing changes no line of a dump that parses whole."""
     with open(path) as fh:
-        rows = [" ".join(line.split()) for line in fh]
+        text = fh.read()
+    try:
+        return parse(text.removesuffix("\n"))
+    except RowError:
+        pass
+    rows = [" ".join(line.split()) for line in text.split("\n")]
     linenos = [i for i, row in enumerate(rows, 1) if row]
     if not linenos:
         raise ValueError(f"{kind} file is empty")
     try:
-        return parse([rows[i - 1] for i in linenos])
+        return parse("\n".join(rows[i - 1] for i in linenos))
     except RowError as exc:
         raise ValueError(f"line {linenos[exc.row]}: {exc.reason}") from None

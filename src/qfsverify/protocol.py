@@ -4,8 +4,8 @@ The verifier asks an untrusted prover for noisy circuit samples,
 rectifies them into a candidate list L, validates L against fresh random
 examples (sum of squared estimated coefficients must reach 1 - tau^2/2),
 and finally outputs the argmax coefficient estimated on further fresh
-examples. Messages serialize to plain text lines so a prover can live in
-another process.
+examples. Messages serialize to plain text lines ended by '\n', so a
+prover can live in another process.
 """
 from __future__ import annotations
 
@@ -145,34 +145,70 @@ def serialize(msg: Message) -> str:
 
 
 def deserialize(text: str) -> Message:
-    lines = text.splitlines()
-    msg, consumed = _parse_message(lines, 0)
-    if consumed != len(lines):
-        raise ParseError(consumed + 1, "trailing content after message")
+    """The message of a wire text whose lines end in '\n' (the last one may not)."""
+    msg, pos, lineno = _parse_message(text, 0, 1)
+    if pos < len(text):
+        raise ParseError(lineno, "trailing content after message")
     return msg
 
 
-def _parse_message(lines: list[str], start: int) -> tuple[Message, int]:
-    if start >= len(lines):
-        raise ParseError(start + 1, "expected a message header")
-    head = lines[start].split()
+def _line(text: str, pos: int) -> tuple[str, int]:
+    """The line starting at offset ``pos`` and the offset after its '\n'
+    (one past the end of the text for a last line without one)."""
+    end = text.find("\n", pos)
+    end = len(text) if end < 0 else end
+    return text[pos:end], end + 1
+
+
+def _parse_message(text: str, pos: int, lineno: int) -> tuple[Message, int, int]:
+    """The message whose header line starts at offset ``pos`` and is line
+    ``lineno``, with the offset and the line number that follow it."""
+    if pos >= len(text):
+        raise ParseError(lineno, "expected a message header")
+    header, pos = _line(text, pos)
+    head = header.split()
     if len(head) != 2 or head[0] not in ("REQ", "BATCH"):
-        raise ParseError(start + 1, f"malformed header {lines[start]!r}")
+        raise ParseError(lineno, f"malformed header {header!r}")
     try:
         count = int(head[1])
     except ValueError:
-        raise ParseError(start + 1, f"bad count {head[1]!r}") from None
+        raise ParseError(lineno, f"bad count {head[1]!r}") from None
     if count < 1:
-        raise ParseError(start + 1, f"count must be positive, got {count}")
+        raise ParseError(lineno, f"count must be positive, got {count}")
     if head[0] == "REQ":
-        return SampleRequest(count), start + 1
-    if len(lines) - start - 1 < count:
-        raise ParseError(len(lines) + 1, f"batch needs {count} sample lines")
+        return SampleRequest(count), pos, lineno + 1
+    batch, pos = _parse_batch(text, pos, lineno + 1, count)
+    return batch, pos, lineno + 1 + count
+
+
+def _parse_batch(text: str, pos: int, lineno: int, count: int) -> tuple[SampleBatch, int]:
+    """The ``count`` rows whose first starts at offset ``pos`` and is line
+    ``lineno``, with the offset after the last row's '\n'.
+
+    Rows as wide as the first one take exactly count * (width + 1) - 1
+    characters, so that slice goes to parse_rows whole when it ends at a
+    '\n' or at the end of the text. Otherwise, or when it does not parse,
+    the rows are taken line by line to name the fault: too few lines, or
+    the first malformed row.
+    """
+    stop = pos + count * (_line(text, pos)[1] - pos) - 1
+    if stop == len(text) or text.startswith("\n", stop):
+        try:
+            values, n = parse_rows(text[pos:stop])
+            return SampleBatch(n, values), stop + 1
+        except RowError:
+            pass
+    lines = text[pos:].split("\n")
+    if lines[-1] == "":  # a final '\n' ends the last line
+        lines.pop()
+    if len(lines) < count:
+        raise ParseError(lineno + len(lines), f"batch needs {count} sample lines")
+    block = "\n".join(lines[:count])
     try:
-        values, n = parse_rows(lines[start + 1:start + 1 + count])
+        values, n = parse_rows(block)
     except RowError as exc:
-        raise ParseError(start + 2 + exc.row, exc.reason) from None
-    return SampleBatch(n, values), start + 1 + count
+        raise ParseError(lineno + exc.row, exc.reason) from None
+    return SampleBatch(n, values), pos + len(block) + 1
 
 
 def honest_prover(spec: FourierSpectrum, channel: NoiseChannel,
@@ -317,11 +353,12 @@ def write_transcript(t: Transcript, path) -> None:
 
 def read_transcript(path) -> Transcript:
     with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines or not lines[0].startswith("PARAMS "):
+        text = fh.read()
+    header, pos = _line(text, 0)
+    if not header.startswith("PARAMS "):
         raise ParseError(1, "missing PARAMS header")
     fields = {}
-    for token in lines[0].split()[1:]:
+    for token in header.split()[1:]:
         key, _, value = token.partition("=")
         fields[key] = value
     try:
@@ -332,24 +369,25 @@ def read_transcript(path) -> Transcript:
     except (KeyError, ValueError) as exc:
         raise ParseError(1, f"bad PARAMS header: {exc}") from None
     messages: list = []
-    pos = 1
-    while pos < len(lines) and not lines[pos].startswith("OUTCOME"):
-        msg, pos = _parse_message(lines, pos)
+    lineno = 2
+    while pos < len(text) and not text.startswith("OUTCOME", pos):
+        msg, pos, lineno = _parse_message(text, pos, lineno)
         messages.append(msg)
-    if pos >= len(lines):
-        raise ParseError(len(lines) + 1, "missing OUTCOME line")
-    parts = lines[pos].split()
+    if pos >= len(text):
+        raise ParseError(lineno, "missing OUTCOME line")
+    line, _ = _line(text, pos)
+    parts = line.split()
     if len(parts) == 3 and parts[1] == "ACCEPT":
         try:
             s0, w = parse_bits(parts[2])
         except RowError as exc:
-            raise ParseError(pos + 1, f"outcome {exc.reason}") from None
+            raise ParseError(lineno, f"outcome {exc.reason}") from None
         if w != params.n:
-            raise ParseError(pos + 1, f"outcome width {w} != {params.n}")
+            raise ParseError(lineno, f"outcome width {w} != {params.n}")
         outcome: Outcome = Accepted(s0)
     elif len(parts) == 3 and parts[1] == "REJECT" and parts[2] in REJECT_REASONS:
         outcome = Rejected(parts[2])
     else:
-        raise ParseError(pos + 1, f"malformed OUTCOME line {lines[pos]!r}")
+        raise ParseError(lineno, f"malformed OUTCOME line {line!r}")
     return Transcript(params, seed, messages, outcome, kprime2_used=counts[0],
                       kprime3_used=counts[1])

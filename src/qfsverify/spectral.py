@@ -29,18 +29,18 @@ def examples_needed(m: int, eps: float, delta: float) -> int:
 def estimate_coeffs(s_set, examples: ExampleBatch) -> dict[int, float]:
     """Empirical coefficients: mean of (1 - 2 f(x)) * chi_s(x) per candidate.
 
-    Each summand is +/-1, so sums are accumulated exactly in integers and
-    divided once; estimates on a full truth table are exact.
+    Each summand is +1 where parity(x & s) equals f(x) and -1 elsewhere, so
+    the sum is the integer k - 2 * (disagreements), divided once; estimates
+    on a full truth table are exact.
     """
     if len(examples) == 0:
         raise ValueError("example list is empty")
     xs, fxs = examples.xs, examples.fxs
-    g = 1 - 2 * fxs.astype(np.int64)
     k = len(xs)
     out: dict[int, float] = {}
     for s in s_set:
-        chi = 1 - 2 * parity(xs & np.uint64(s)).astype(np.int64)
-        out[int(s)] = int(np.sum(g * chi)) / k
+        disagree = int(np.count_nonzero(parity(xs & np.uint64(s)) != fxs))
+        out[int(s)] = (k - 2 * disagree) / k
     return out
 
 

@@ -4,13 +4,15 @@ nearest_match is rectify's matching step for one prefix. rectify_dense is
 the per-sample matcher that rectify.rectify replaced: it forms the
 k x 2cap distance matrix at every level, in 65,536-row chunks, and draws
 the tie-break uniforms chunk by chunk. rectify must return the same list
-and leave the generator in the same state.
+and leave the generator in the same state. read_rows_per_line is the dump
+reader that normalises every line before parsing; the dump readers of
+oracles must return what it returns, or raise its error.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from qfsverify.bits import check_width, fits_rows, hamming, popcount
+from qfsverify.bits import RowError, check_width, fits_rows, hamming, popcount
 from qfsverify.rectify import list_cap
 
 _MATCH_CHUNK = 1 << 16
@@ -63,3 +65,17 @@ def rectify_dense(samples, n: int, theta: float, rng: np.random.Generator) -> li
         order = np.lexsort((cand, -counts))
         level = cand[order][:cap]
     return [int(s) for s in level]
+
+
+def read_rows_per_line(path, kind: str, parse):
+    """``parse`` of a dump's nonblank lines, each with its whitespace runs
+    collapsed to one space; a fault names its line number."""
+    with open(path) as fh:
+        rows = [" ".join(line.split()) for line in fh]
+    linenos = [i for i, row in enumerate(rows, 1) if row]
+    if not linenos:
+        raise ValueError(f"{kind} file is empty")
+    try:
+        return parse("\n".join(rows[i - 1] for i in linenos))
+    except RowError as exc:
+        raise ValueError(f"line {linenos[exc.row]}: {exc.reason}") from None

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qfsverify.bits import (RowError, format_rows, format_table,
+from qfsverify.bits import (RowError, format_rows, format_table, parse_bits,
                             parse_labelled_rows, parse_rows, parse_table,
                             random_words)
 from qfsverify.boolfn import (BooleanFunction, gen_ftau, read_function,
-                              write_function)
+                              read_spectrum, write_function)
 from qfsverify.cli import main
 from qfsverify.noise import BitFlipNoise
 from qfsverify.oracles import (draw_examples, read_examples, read_samples,
@@ -18,8 +18,9 @@ from qfsverify.oracles import (draw_examples, read_examples, read_samples,
 from qfsverify.protocol import (PROVER_ERROR, Accepted, ParseError, Rejected,
                                 SampleBatch, SampleRequest, Transcript,
                                 VerifierParams, deserialize, honest_prover,
-                                make_prover, read_transcript, serialize,
-                                verifier_run, write_transcript)
+                                make_prover, read_transcript, replay_transcript,
+                                serialize, verifier_run, write_transcript)
+from reference import read_rows_per_line
 
 # timings on a shared 2-core machine are too noisy for a per-example deadline
 relaxed = settings(deadline=None)
@@ -43,7 +44,7 @@ def test_rows_round_trip_against_the_scalar_oracle(batch):
     n, values = batch
     text = format_rows(values, n)
     assert text.split("\n") == oracle_rows(values, n)
-    back, width = parse_rows(text.split("\n"))
+    back, width = parse_rows(text)
     assert width == n and back.dtype == np.uint64
     assert np.array_equal(back, values)
 
@@ -57,15 +58,16 @@ def test_labelled_rows_round_trip(batch, data):
     text = format_rows(values, n, labels=labels)
     assert text.split("\n") == [f"{row} {label}" for row, label
                                 in zip(oracle_rows(values, n), labels)]
-    back, back_labels, width = parse_labelled_rows(text.split("\n"))
+    back, back_labels, width = parse_labelled_rows(text)
     assert width == n and np.array_equal(back, values)
     assert np.array_equal(back_labels, labels)
 
 
 # one-character mutations of a row: a substituted non-bit character,
-# a deleted character or an inserted one
+# a deleted character or an inserted one; '\n' separates rows, so it is
+# not a character a row can hold
 mutations = st.one_of(
-    st.tuples(st.just("sub"), st.characters(blacklist_characters="01")),
+    st.tuples(st.just("sub"), st.characters(blacklist_characters="01\n")),
     st.tuples(st.just("del"), st.just("")),
     st.tuples(st.just("ins"), st.sampled_from("01 x")),
 )
@@ -93,13 +95,12 @@ def test_every_one_character_mutation_is_rejected_at_its_row(batch, data, mutati
     expected = 1 if bad == 0 and first_is_a_row else bad
     assume(expected < len(rows))
     with pytest.raises(RowError) as err:
-        parse_rows(rows)
+        parse_rows("\n".join(rows))
     assert err.value.row == expected
-    if len(("0" + ch + "0").splitlines()) == 1:
-        # the wire parser names the same row by its line number
-        with pytest.raises(ParseError) as wire:
-            deserialize(f"BATCH {len(rows)}\n" + "\n".join(rows))
-        assert wire.value.lineno == expected + 2
+    # the wire parser names the same row by its line number
+    with pytest.raises(ParseError) as wire:
+        deserialize(f"BATCH {len(rows)}\n" + "\n".join(rows))
+    assert wire.value.lineno == expected + 2
 
 
 @relaxed
@@ -112,7 +113,7 @@ def test_non_ascii_rows_are_rejected_at_their_row(batch, data):
     ch = data.draw(st.characters(min_codepoint=128))
     rows[bad] = rows[bad][:col] + ch + rows[bad][col + 1:]
     with pytest.raises(RowError) as err:
-        parse_rows(rows)
+        parse_rows("\n".join(rows))
     assert err.value.row == bad
 
 
@@ -124,7 +125,7 @@ def test_bad_labels_are_rejected_at_their_row(batch, data):
     bad = data.draw(st.integers(0, len(rows) - 1))
     rows[bad] = rows[bad][:-2] + data.draw(st.sampled_from(["  1", " 2", "\t1", " 10", " "]))
     with pytest.raises(RowError) as err:
-        parse_labelled_rows(rows)
+        parse_labelled_rows("\n".join(rows))
     assert err.value.row == bad
 
 
@@ -136,8 +137,52 @@ def test_codec_rejects_values_and_widths_it_cannot_carry():
         format_rows([1], 2, labels=[2])
     for rows in ([], [""], ["0" * 65]):
         with pytest.raises(RowError) as err:
-            parse_rows(rows)
+            parse_rows("\n".join(rows))
         assert err.value.row == 0
+
+
+def test_one_row_readers_refuse_a_second_row(tmp_path):
+    assert parse_rows("01\n10")[0].tolist() == [1, 2]
+    with pytest.raises(RowError):
+        parse_bits("01\n10")
+    # an 's' field with a '\n' would shift every later string onto the
+    # coefficient of another line
+    path = tmp_path / "spec.jsonl"
+    for text, lineno in (('{"s": "01\\n10", "coeff": 0.5}\n{"s": "11", "coeff": 0.5}\n', 1),
+                         ('{"s": "01", "coeff": 0.5}\n{"s": "10\\n1", "coeff": 0.5}\n', 2)):
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^line {lineno}: "):
+            read_spectrum(path)
+
+
+@pytest.mark.parametrize("text,lineno,reason", [
+    # rows end in '\n' only
+    ("BATCH 3\n0101\r\n1100\r\n0011", 2, "is not 5 bits"),
+    ("BATCH 3\n0101\x0b1100\x0b0011", 3, "batch needs 3 sample lines"),
+    ("BATCH 3\n0101\x851100\x850011", 3, "batch needs 3 sample lines"),
+    # a short batch is reported before a ragged row inside it
+    ("BATCH 3\n01\n01010\n", 4, "batch needs 3 sample lines"),
+    ("BATCH 3\n01\n01010\n11", 3, "is not 2 bits"),
+    ("BATCH 2\n0\n101", 3, "is not 1 bits"),
+])
+def test_wire_faults_name_their_line(text, lineno, reason):
+    with pytest.raises(ParseError, match=reason) as err:
+        deserialize(text)
+    assert err.value.lineno == lineno
+
+
+def test_transcript_files_with_crlf_line_ends_read_back(tmp_path, and2_at16):
+    # text-mode open turns each '\r\n' of a file into '\n'
+    p = VerifierParams(n=16, tau=0.5, eps=0.45, delta=0.2)
+    prover = honest_prover(and2_at16.spectrum(), BitFlipNoise(0.025),
+                           np.random.default_rng(50))
+    outcome, t = verifier_run(p, and2_at16, prover, seed=51)
+    write_transcript(t, tmp_path / "t.txt")
+    crlf = tmp_path / "crlf.txt"
+    crlf.write_bytes((tmp_path / "t.txt").read_bytes().replace(b"\n", b"\r\n"))
+    back = read_transcript(crlf)
+    assert back.messages == t.messages and back.outcome == t.outcome == outcome
+    assert replay_transcript(back, and2_at16) == outcome
 
 
 @relaxed
@@ -321,3 +366,52 @@ def test_empty_dumps_are_rejected(tmp_path, reader):
     path.write_text("\n \n")
     with pytest.raises(ValueError, match="empty"):
         reader(path)
+
+
+WHITESPACE = " \t\x0b\x0c\u00a0\u2003"
+
+
+@st.composite
+def dumps(draw, labelled):
+    """Dump text: canonical, or with blank lines, whitespace around rows and
+    before labels and '\r\n' line ends; either may have one corrupted line."""
+    n, values = draw(batches(max_count=30))
+    labels = draw(st.lists(st.integers(0, 1), min_size=len(values),
+                           max_size=len(values))) if labelled else None
+    lines = format_rows(values, n, labels=labels).split("\n")
+    end = "\n"
+    if draw(st.booleans()):
+        pad = st.text(st.sampled_from(WHITESPACE), max_size=3)
+        gap = st.text(st.sampled_from(WHITESPACE), min_size=1, max_size=3)
+        decorated = []
+        for line in lines:
+            decorated += draw(st.lists(pad, max_size=2))
+            decorated.append(draw(pad) + line.replace(" ", draw(gap)) + draw(pad))
+        lines, end = decorated, draw(st.sampled_from(["\n", "\r\n"]))
+    if draw(st.booleans()):
+        bad = draw(st.sampled_from([i for i, line in enumerate(lines) if line]))
+        kind, ch = draw(mutations)
+        lines[bad] = mutate(lines[bad], kind, ch, draw(st.integers(0, 80)))
+    return end.join(lines) + draw(st.sampled_from(["", end]))
+
+
+def _example_parts(path):
+    batch = read_examples(path)
+    return batch.xs, batch.fxs, batch.n
+
+
+def _outcome(read, *args):
+    try:
+        return [np.asarray(part).tolist() for part in read(*args)]
+    except ValueError as exc:
+        return str(exc)
+
+
+@relaxed
+@given(st.sampled_from([(read_samples, "sample", parse_rows),
+                        (_example_parts, "example", parse_labelled_rows)]), st.data())
+def test_dump_readers_match_the_per_line_oracle(tmp_path_factory, reader, data):
+    read, kind, parse = reader
+    path = tmp_path_factory.mktemp("dumps") / "dump.txt"
+    path.write_text(data.draw(dumps(labelled=kind == "example")))
+    assert _outcome(read, path) == _outcome(read_rows_per_line, path, kind, parse)
