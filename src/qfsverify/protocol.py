@@ -10,6 +10,7 @@ prover can live in another process.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -160,22 +161,23 @@ def _line(text: str, pos: int) -> tuple[str, int]:
     return text[pos:end], end + 1
 
 
+_HEADER = re.compile(r"(REQ|BATCH) ([1-9][0-9]*)")  # exactly as serialize writes it
+
+
 def _parse_message(text: str, pos: int, lineno: int) -> tuple[Message, int, int]:
     """The message whose header line starts at offset ``pos`` and is line
     ``lineno``, with the offset and the line number that follow it."""
     if pos >= len(text):
         raise ParseError(lineno, "expected a message header")
     header, pos = _line(text, pos)
-    head = header.split()
-    if len(head) != 2 or head[0] not in ("REQ", "BATCH"):
+    head = _HEADER.fullmatch(header)
+    if head is None:
         raise ParseError(lineno, f"malformed header {header!r}")
     try:
-        count = int(head[1])
-    except ValueError:
-        raise ParseError(lineno, f"bad count {head[1]!r}") from None
-    if count < 1:
-        raise ParseError(lineno, f"count must be positive, got {count}")
-    if head[0] == "REQ":
+        count = int(head[2])
+    except ValueError:  # more digits than int() converts
+        raise ParseError(lineno, f"bad count {head[2]!r}") from None
+    if head[1] == "REQ":
         return SampleRequest(count), pos, lineno + 1
     batch, pos = _parse_batch(text, pos, lineno + 1, count)
     return batch, pos, lineno + 1 + count
@@ -375,7 +377,7 @@ def read_transcript(path) -> Transcript:
         messages.append(msg)
     if pos >= len(text):
         raise ParseError(lineno, "missing OUTCOME line")
-    line, _ = _line(text, pos)
+    line, pos = _line(text, pos)
     parts = line.split()
     if len(parts) == 3 and parts[1] == "ACCEPT":
         try:
@@ -389,5 +391,7 @@ def read_transcript(path) -> Transcript:
         outcome = Rejected(parts[2])
     else:
         raise ParseError(lineno, f"malformed OUTCOME line {line!r}")
+    if pos < len(text):
+        raise ParseError(lineno + 1, "trailing content after the OUTCOME line")
     return Transcript(params, seed, messages, outcome, kprime2_used=counts[0],
                       kprime3_used=counts[1])

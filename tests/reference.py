@@ -1,12 +1,14 @@
 """Test-only reference implementations, kept as oracles for faster code.
 
 nearest_match is rectify's matching step for one prefix. rectify_dense is
-the per-sample matcher that rectify.rectify replaced: it forms the
+the per-sample matcher, the oracle of rectify.rectify: it forms the
 k x 2cap distance matrix at every level, in 65,536-row chunks, and draws
-the tie-break uniforms chunk by chunk. rectify must return the same list
-and leave the generator in the same state. read_rows_per_line is the dump
-reader that normalises every line before parsing; the dump readers of
-oracles must return what it returns, or raise its error.
+the tie-break uniforms chunk by chunk. rectify, which matches distinct
+prefixes against the surviving parents and draws its tie rows in blocks
+of its own size, must return the same list and leave the generator in
+the same state. read_rows_per_line is the dump reader that normalises
+every line before parsing; the dump readers of oracles must return what
+it returns, or raise its error.
 """
 from __future__ import annotations
 

@@ -15,8 +15,8 @@ from qfsverify.cli import main
 from qfsverify.noise import BitFlipNoise
 from qfsverify.oracles import (draw_examples, read_examples, read_samples,
                                sample_batch, write_examples, write_samples)
-from qfsverify.protocol import (PROVER_ERROR, Accepted, ParseError, Rejected,
-                                SampleBatch, SampleRequest, Transcript,
+from qfsverify.protocol import (BAD_BATCH, PROVER_ERROR, Accepted, ParseError,
+                                Rejected, SampleBatch, SampleRequest, Transcript,
                                 VerifierParams, deserialize, honest_prover,
                                 make_prover, read_transcript, replay_transcript,
                                 serialize, verifier_run, write_transcript)
@@ -164,6 +164,14 @@ def test_one_row_readers_refuse_a_second_row(tmp_path):
     ("BATCH 3\n01\n01010\n", 4, "batch needs 3 sample lines"),
     ("BATCH 3\n01\n01010\n11", 3, "is not 2 bits"),
     ("BATCH 2\n0\n101", 3, "is not 1 bits"),
+    # headers are exactly what serialize writes: ASCII digits, no sign,
+    # separator or leading zero, one space
+    ("REQ 1_0", 1, "malformed header"),
+    ("REQ +5", 1, "malformed header"),
+    ("REQ \u0663", 1, "malformed header"),
+    ("REQ 007", 1, "malformed header"),
+    ("\tBATCH  1\n0", 1, "malformed header"),
+    ("REQ " + "1" * 5000, 1, "bad count"),  # more digits than int() converts
 ])
 def test_wire_faults_name_their_line(text, lineno, reason):
     with pytest.raises(ParseError, match=reason) as err:
@@ -233,6 +241,20 @@ def test_bad_outcome_strings_name_their_line(tmp_path, outcome):
     with pytest.raises(ParseError) as err:
         read_transcript(path)
     assert err.value.lineno == 3
+
+
+def test_text_after_the_outcome_line_is_refused(tmp_path, and2_at16):
+    p = VerifierParams(n=16, tau=0.5, eps=0.45, delta=0.2)
+    _, t = verifier_run(p, and2_at16, lambda req: SampleBatch(16, np.zeros(3, np.uint64)),
+                        seed=52)
+    assert t.outcome == Rejected(BAD_BATCH)
+    write_transcript(t, tmp_path / "t.txt")
+    text = (tmp_path / "t.txt").read_text()
+    assert read_transcript(tmp_path / "t.txt").outcome == t.outcome
+    (tmp_path / "t.txt").write_text(text + "garbage\n")
+    with pytest.raises(ParseError, match="after the OUTCOME line") as err:
+        read_transcript(tmp_path / "t.txt")
+    assert err.value.lineno == text.count("\n") + 1
 
 
 # sha256 prefixes of fixed-seed outputs on AND2 at width 16, captured from

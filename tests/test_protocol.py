@@ -1,5 +1,6 @@
 import hashlib
 import math
+import time
 
 import numpy as np
 import pytest
@@ -239,6 +240,24 @@ def test_completeness_smoke(and2_at16):
         trial = protocol_trial(p, and2_at16, prover, seed=9500 + t, spec=spec)
         correct += trial.correct
     assert correct >= 16
+
+
+def test_verify_complete_at_width_64():
+    # the verifier's k at n = 64 against honest provers on fresh 2-juntas
+    # under bit-flip noise; correct accepts in at least 1 - delta of the
+    # trials, delta = 0.2 (observed: all 20)
+    start = time.perf_counter()
+    params = VerifierParams(n=64, tau=0.5, eps=0.45, delta=0.2)
+    assert params.k == 24_193
+    correct = 0
+    for trial in range(20):
+        rng = np.random.default_rng(6500 + trial)
+        f = gen_ftau(64, 2, 0.5, rng)
+        prover = honest_prover(f.spectrum(), BitFlipNoise(0.025), rng)
+        correct += protocol_trial(params, f, prover, seed=6600 + trial).correct
+    elapsed = time.perf_counter() - start
+    assert correct >= 16, f"only {correct}/20 correct accepts at n = 64"
+    assert elapsed < 10.0, f"n = 64 completeness exceeded budget: {elapsed:.1f}s"
 
 
 def test_constant_adversary_rejected_on_and2(and2_at16):

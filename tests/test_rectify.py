@@ -176,18 +176,49 @@ def test_rectify_with_noise_smoke(and2_at16):
 def _batch(kind: str, n: int, k: int, rng: np.random.Generator) -> np.ndarray:
     if kind == "uniform":
         return random_words(rng, k, n)
+    if kind == "constant":
+        return np.zeros(k, dtype=np.uint64)
     channel = BitFlipNoise(0.025) if kind == "bitflip" else BlockFlipNoise(0.01)
     return sample_batch(gen_ftau(n, 2, 0.5, rng).spectrum(), channel, k, rng)
 
 
 @pytest.mark.parametrize("theta", [0.25, 0.11])  # cap 8 and cap 18
-@pytest.mark.parametrize("kind", ["bitflip", "blockflip", "uniform"])
+@pytest.mark.parametrize("kind", ["bitflip", "blockflip", "uniform", "constant"])
 @pytest.mark.parametrize("n", [8, 16, 32, 64])
 def test_rectify_matches_dense_matcher_bit_for_bit(n, kind, theta):
-    # n = 16 crosses the dense matcher's 65,536-row chunk boundary
+    # n = 16 crosses the dense matcher's 65,536-row chunk boundary, and on
+    # uniform batches several of rectify's blocks of tied rows
     k = 66_000 if n == 16 else 3_000
     samples = _batch(kind, n, k, np.random.default_rng(n))
     grouped, dense = np.random.default_rng(7), np.random.default_rng(7)
+    assert rectify(samples, n, theta, grouped) == rectify_dense(samples, n, theta, dense)
+    assert grouped.bit_generator.state == dense.bit_generator.state
+
+
+@pytest.mark.parametrize("theta", [0.012, 0.005])  # cap 166 and cap 400
+def test_rectify_matches_dense_matcher_with_hundreds_of_candidates(theta):
+    # with 129-255 parents (cap 166) the first-nearest parent index is a
+    # uint8, and 2 * index + bit must not wrap; cap 400 needs a uint16 index
+    samples = random_words(np.random.default_rng(12), 3_000, 12)
+    grouped, dense = np.random.default_rng(13), np.random.default_rng(13)
+    assert rectify(samples, 12, theta, grouped) == rectify_dense(samples, 12, theta, dense)
+    assert grouped.bit_generator.state == dense.bit_generator.state
+
+
+@settings(deadline=None, max_examples=80)
+@given(n=st.integers(1, 10), theta=st.floats(0.005, 0.95), seed=st.integers(0, 2 ** 32),
+       data=st.data())
+def test_rectify_matches_dense_matcher_on_tie_heavy_inputs(n, theta, seed, data):
+    # up to 600 samples of at most 40 distinct values, in a seeded order:
+    # when the values outnumber the cap, most matches are tied; theta down
+    # to 0.005 keeps up to 400 parents (more than 2^n for small n), and
+    # n = 1 matches against the 0-bit prefix
+    d = min(data.draw(st.integers(1, 40)), 1 << n)
+    values = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=d, max_size=d,
+                                unique=True))
+    counts = data.draw(st.lists(st.integers(1, 15), min_size=d, max_size=d))
+    samples = np.random.default_rng(seed).permutation(np.repeat(values, counts))
+    grouped, dense = np.random.default_rng(seed), np.random.default_rng(seed)
     assert rectify(samples, n, theta, grouped) == rectify_dense(samples, n, theta, dense)
     assert grouped.bit_generator.state == dense.bit_generator.state
 
