@@ -28,6 +28,10 @@ VALIDATION_FAILED = "ValidationFailed"
 PROVER_ERROR = "ProverError"
 REJECT_REASONS = (BAD_BATCH, VALIDATION_FAILED, PROVER_ERROR)
 
+# the transcript format; 2: rectify breaks each tie with one integer draw per
+# tied sample, samples in ascending order (unversioned transcripts drew uniforms)
+TRANSCRIPT_VERSION = 2
+
 HONEST = "honest"
 # adversary kind -> fewest support strings its target must have (omit drops one)
 ADVERSARY_KINDS = {"uniform": 1, "wrongfunction": 1, "omit": 2, "constant": 1}
@@ -342,8 +346,8 @@ def protocol_trial(params: VerifierParams, f: BooleanFunction, prover, seed: int
 def write_transcript(t: Transcript, path) -> None:
     with open(path, "w") as fh:
         fh.write(
-            f"PARAMS n={t.params.n} tau={t.params.tau!r} eps={t.params.eps!r} "
-            f"delta={t.params.delta!r} seed={t.seed} "
+            f"PARAMS version={TRANSCRIPT_VERSION} n={t.params.n} tau={t.params.tau!r} "
+            f"eps={t.params.eps!r} delta={t.params.delta!r} seed={t.seed} "
             f"kprime2={t.kprime2_used} kprime3={t.kprime3_used}\n")
         for msg in t.messages:
             fh.write(serialize(msg) + "\n")
@@ -363,6 +367,10 @@ def read_transcript(path) -> Transcript:
     for token in header.split()[1:]:
         key, _, value = token.partition("=")
         fields[key] = value
+    if fields.get("version") != str(TRANSCRIPT_VERSION):
+        found = fields.get("version", "1 (no version field)")
+        raise ParseError(1, f"transcript format version {found}; this reader reads "
+                            f"version {TRANSCRIPT_VERSION} only")
     try:
         params = VerifierParams(n=int(fields["n"]), tau=float(fields["tau"]),
                                 eps=float(fields["eps"]), delta=float(fields["delta"]))
@@ -370,11 +378,22 @@ def read_transcript(path) -> Transcript:
         counts = (int(fields["kprime2"]), int(fields["kprime3"]))
     except (KeyError, ValueError) as exc:
         raise ParseError(1, f"bad PARAMS header: {exc}") from None
+    # exactly one REQ for k samples, then at most one BATCH of any count
+    # (a BadBatch reply is recorded as sent)
+    expected = ("REQ", "BATCH or OUTCOME", "OUTCOME")  # after 0, 1 and 2 messages
     messages: list = []
     lineno = 2
     while pos < len(text) and not text.startswith("OUTCOME", pos):
-        msg, pos, lineno = _parse_message(text, pos, lineno)
+        msg, pos, after = _parse_message(text, pos, lineno)
+        found = "REQ" if isinstance(msg, SampleRequest) else "BATCH"
+        if not expected[len(messages)].startswith(found):
+            raise ParseError(lineno, f"expected {expected[len(messages)]}, found {found}")
+        if found == "REQ" and msg.count != params.k:
+            raise ParseError(lineno, f"REQ {msg.count} does not request k = {params.k}")
         messages.append(msg)
+        lineno = after
+    if not messages:
+        raise ParseError(lineno, "expected REQ before the OUTCOME line")
     if pos >= len(text):
         raise ParseError(lineno, "missing OUTCOME line")
     line, pos = _line(text, pos)

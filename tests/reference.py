@@ -1,14 +1,15 @@
 """Test-only reference implementations, kept as oracles for faster code.
 
-nearest_match is rectify's matching step for one prefix. rectify_dense is
-the per-sample matcher, the oracle of rectify.rectify: it forms the
-k x 2cap distance matrix at every level, in 65,536-row chunks, and draws
-the tie-break uniforms chunk by chunk. rectify, which matches distinct
-prefixes against the surviving parents and draws its tie rows in blocks
-of its own size, must return the same list and leave the generator in
-the same state. read_rows_per_line is the dump reader that normalises
-every line before parsing; the dump readers of oracles must return what
-it returns, or raise its error.
+nearest_match is rectify's matching step for one prefix, and
+rectify_loop applies it to every sample in ascending order at every
+level. rectify_dense is the per-sample matcher: it sorts the samples,
+forms the k x 2cap distance matrix at every level, in 65,536-row chunks,
+and draws one integer below its number of nearest candidates for each
+tied row, chunk by chunk. rectify.rectify, which matches distinct
+prefixes against the surviving parents, must return the same list as
+both and leave the generator in the same state. read_rows_per_line is
+the dump reader that normalises every line before parsing; the dump
+readers of oracles must return what it returns, or raise its error.
 """
 from __future__ import annotations
 
@@ -41,10 +42,11 @@ def _match_counts(prefixes: np.ndarray, cand: np.ndarray,
         dist = popcount(chunk[:, None] ^ cand[None, :])
         is_min = dist == dist.min(axis=1, keepdims=True)
         choice = np.argmax(is_min, axis=1)
-        tied = np.nonzero(is_min.sum(axis=1) > 1)[0]
-        if tied.size:
-            draw = np.where(is_min[tied], rng.random((tied.size, len(cand))), -1.0)
-            choice[tied] = np.argmax(draw, axis=1)
+        ties = is_min.sum(axis=1)
+        tied = np.nonzero(ties > 1)[0]
+        if tied.size:  # the pick-th nearest candidate, counting from 0
+            pick = rng.integers(0, ties[tied])
+            choice[tied] = np.argmax(np.cumsum(is_min[tied], axis=1) > pick[:, None], axis=1)
         counts += np.bincount(choice, minlength=len(cand))
     return counts
 
@@ -56,6 +58,7 @@ def rectify_dense(samples, n: int, theta: float, rng: np.random.Generator) -> li
     samples = np.asarray(samples, dtype=np.uint64)
     if not fits_rows(samples, n):
         raise ValueError(f"samples must be a nonempty 1-d sequence of width-{n} values")
+    samples = np.sort(samples)
     level = np.zeros(1, dtype=np.uint64)  # the empty prefix
     for m in range(1, n + 1):
         cand = np.empty(2 * len(level), dtype=np.uint64)
@@ -67,6 +70,21 @@ def rectify_dense(samples, n: int, theta: float, rng: np.random.Generator) -> li
         order = np.lexsort((cand, -counts))
         level = cand[order][:cap]
     return [int(s) for s in level]
+
+
+def rectify_loop(samples, n: int, theta: float, rng: np.random.Generator) -> list[int]:
+    """rectify as nearest_match on each sample, in ascending order, per level."""
+    cap = list_cap(theta)
+    level = [0]  # the empty prefix
+    for m in range(1, n + 1):
+        cand = [(c << 1) | b for c in level for b in (0, 1)]
+        counts = [0] * len(cand)
+        for s in sorted(int(s) for s in samples):
+            counts[nearest_match(s >> (n - m), cand, rng)] += 1
+        # primary key: count descending; tie key: prefix ascending
+        order = sorted(range(len(cand)), key=lambda i: (-counts[i], cand[i]))
+        level = [cand[i] for i in order[:cap]]
+    return level
 
 
 def read_rows_per_line(path, kind: str, parse):

@@ -72,6 +72,24 @@ def test_verify_and_replay(tmp_path, capsys, and2_at16):
     assert rec["outcome"] == {"outcome": "accept", "s0": first["s0"]}
 
 
+def test_replay_refuses_an_unversioned_transcript(tmp_path, capsys, and2_at16):
+    # a transcript without a format version was written under the earlier
+    # tie rule; replaying it under the current one could not be trusted
+    fn = tmp_path / "and2.fn"
+    write_function(and2_at16, fn)
+    transcript = tmp_path / "transcript.txt"
+    assert run_cli("verify", "--function", fn, "--tau", 0.5, "--eps", 0.45,
+                   "--delta", 0.2, "--model", "bitflip", "--eta", 0.025,
+                   "--seed", 3, "--out", transcript) == 0
+    capsys.readouterr()
+    transcript.write_text(transcript.read_text().replace(" version=2", "", 1))
+    assert run_cli("verify", "--function", fn, "--replay", transcript) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: line 1: transcript format version 1 (no version "
+                            "field); this reader reads version 2 only\n")
+
+
 def test_verify_adversary_rejects(tmp_path, capsys, and2_at16):
     fn = tmp_path / "and2.fn"
     write_function(and2_at16, fn)
@@ -136,14 +154,16 @@ def test_choices_come_from_the_registries():
 
 
 # outputs of verify --seed 4 on AND2 at width 16 (tau .5, eps .45, delta .2,
-# eta .025), captured before adversary construction moved into make_prover
+# eta .025), captured before adversary construction moved into make_prover;
+# blockflip's honest s0 was captured again under transcript version 2's tie
+# rule (it was 0000100000000000; both have regret 0)
 _REJECTED = {"outcome": "reject", "reason": "ValidationFailed"}
 PINNED_VERIFY = {
     **{(model, kind): _REJECTED for model in CHANNELS
        for kind in ("uniform", "wrongfunction", "constant")},
     ("bitflip", None): {"outcome": "accept", "s0": "0000000000000000", "regret": 0.0},
     ("bitflip", "omit"): {"outcome": "accept", "s0": "0000000000000000", "regret": 0.0},
-    ("blockflip", None): {"outcome": "accept", "s0": "0000100000000000", "regret": 0.0},
+    ("blockflip", None): {"outcome": "accept", "s0": "0010000000000000", "regret": 0.0},
     ("blockflip", "omit"): _REJECTED,
     ("depolarizing", None): {"outcome": "accept", "s0": "0010000000000000",
                              "regret": 0.0},

@@ -1,5 +1,6 @@
 """The '0'/'1' row codec in bits, and every text format built on it."""
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -210,7 +211,7 @@ def _transcripts():
     def build(draw):
         p = draw(params)
         values = draw(st.lists(st.integers(0, (1 << p.n) - 1), min_size=1, max_size=50))
-        messages = [SampleRequest(draw(st.integers(1, 10 ** 6)))]
+        messages = [SampleRequest(p.k)]
         messages += draw(st.lists(st.just(SampleBatch(p.n, values)), max_size=1))
         outcome = draw(st.one_of(
             st.builds(Accepted, st.integers(0, (1 << p.n) - 1)),
@@ -236,11 +237,63 @@ def test_transcript_round_trip(tmp_path_factory, t):
 @pytest.mark.parametrize("outcome", ["01x1", "011", "01 1"])
 def test_bad_outcome_strings_name_their_line(tmp_path, outcome):
     path = tmp_path / "t.txt"
-    path.write_text("PARAMS n=4 tau=0.5 eps=0.45 delta=0.2 seed=1 kprime2=0 "
-                    f"kprime3=0\nREQ 5\nOUTCOME ACCEPT {outcome}\n")
+    path.write_text("PARAMS version=2 n=4 tau=0.5 eps=0.45 delta=0.2 seed=1 kprime2=0 "
+                    f"kprime3=0\nREQ 15320\nOUTCOME ACCEPT {outcome}\n")
     with pytest.raises(ParseError) as err:
         read_transcript(path)
     assert err.value.lineno == 3
+
+
+_PARAMS2 = "PARAMS version=2 n=2 tau=0.5 eps=0.45 delta=0.2 seed=1 kprime2=0 kprime3=0\n"
+
+
+@pytest.mark.parametrize("body,lineno,reason", [
+    ("OUTCOME REJECT ProverError\n", 2, "expected REQ before the OUTCOME line"),
+    ("", 2, "expected REQ before the OUTCOME line"),
+    ("BATCH 2\n01\n10\nOUTCOME REJECT BadBatch\n", 2, "expected REQ, found BATCH"),
+    ("BATCH 2\n01\n10\nREQ 13102\nOUTCOME REJECT BadBatch\n", 2,
+     "expected REQ, found BATCH"),
+    ("REQ 13102\nREQ 13102\nOUTCOME REJECT ProverError\n", 3,
+     "expected BATCH or OUTCOME, found REQ"),
+    ("REQ 13102\nBATCH 2\n01\n10\nBATCH 1\n11\nOUTCOME REJECT BadBatch\n", 6,
+     "expected OUTCOME, found BATCH"),
+    ("REQ 13102\nBATCH 2\n01\n10\nREQ 13102\nOUTCOME REJECT BadBatch\n", 6,
+     "expected OUTCOME, found REQ"),
+    ("REQ 3\nOUTCOME REJECT ProverError\n", 2, "REQ 3 does not request k = 13102"),
+    ("REQ 13103\nBATCH 1\n01\nOUTCOME REJECT BadBatch\n", 2,
+     "REQ 13103 does not request k = 13102"),
+])
+def test_transcript_grammar_faults_name_their_line(tmp_path, body, lineno, reason):
+    # messages are exactly one REQ for k samples, then at most one BATCH
+    assert VerifierParams(n=2, tau=0.5, eps=0.45, delta=0.2).k == 13_102
+    path = tmp_path / "t.txt"
+    path.write_text(_PARAMS2 + body)
+    with pytest.raises(ParseError, match=reason) as err:
+        read_transcript(path)
+    assert err.value.lineno == lineno
+
+
+@pytest.mark.parametrize("edit,found", [
+    (lambda line: line.replace(" version=2", ""), "version 1 (no version field)"),
+    (lambda line: line.replace(" version=2", " version=3"), "version 3"),
+    (lambda line: line.replace(" version=2", " version=02"), "version 02"),
+])
+def test_transcripts_of_another_format_version_are_refused(tmp_path, and2_at16,
+                                                           edit, found):
+    # an unversioned transcript drew its tie-breaks by the earlier rule, so
+    # it is refused rather than replayed under the current one
+    p = VerifierParams(n=16, tau=0.5, eps=0.45, delta=0.2)
+    prover = honest_prover(and2_at16.spectrum(), BitFlipNoise(0.025),
+                           np.random.default_rng(53))
+    _, t = verifier_run(p, and2_at16, prover, seed=54)
+    write_transcript(t, tmp_path / "t.txt")
+    header, rest = (tmp_path / "t.txt").read_text().split("\n", 1)
+    assert header.startswith("PARAMS version=2 ")
+    (tmp_path / "t.txt").write_text(edit(header) + "\n" + rest)
+    with pytest.raises(ParseError, match=re.escape(f"line 1: transcript format {found}; "
+                                                   "this reader reads version 2 only")) as err:
+        read_transcript(tmp_path / "t.txt")
+    assert err.value.lineno == 1
 
 
 def test_text_after_the_outcome_line_is_refused(tmp_path, and2_at16):
@@ -258,19 +311,22 @@ def test_text_after_the_outcome_line_is_refused(tmp_path, and2_at16):
 
 
 # sha256 prefixes of fixed-seed outputs on AND2 at width 16, captured from
-# the per-value writers the codec replaced; the formats are byte-identical
+# the per-value writers the codec replaced; the formats are byte-identical.
+# The transcripts carry the format version 2, and transcript_honest and
+# cli_rectify were captured again under its tie rule; the other three
+# transcripts hash as before with " version=2" deleted.
 PINNED_OUTPUTS = {
     "serialize16": "2f5e1fa6099b8a8a",
     "serialize1": "5577e69dccf9ed61",
     "serialize64": "e56ce1f336ff13d0",
     "write_samples": "e53fb0fcca2a9204",
     "write_examples": "2d0ef43bf05fcdd1",
-    "transcript_honest": "d64534e5426489c0",
-    "transcript_constant": "50a7ae9321f15cc0",
-    "transcript_wrong_width": "a5d88d45ba837f1b",
-    "transcript_raising": "0eb974b35b7a7902",
+    "transcript_honest": "fd455d83935ed168",
+    "transcript_constant": "a3f85154a194dfff",
+    "transcript_wrong_width": "d419fbf91e56b48b",
+    "transcript_raising": "07b32960355e1445",
     "cli_sample": "1ebdb04ee2f3923c",
-    "cli_rectify": "a371187bc5657b27",
+    "cli_rectify": "2d523e3fa73f4cd1",
 }
 
 

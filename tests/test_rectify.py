@@ -13,7 +13,7 @@ from qfsverify.oracles import sample_batch
 from qfsverify.protocol import VerifierParams
 from qfsverify.rectify import (heavy_set, list_cap, p_d_poly, rectify,
                                required_samples)
-from reference import nearest_match, rectify_dense
+from reference import nearest_match, rectify_dense, rectify_loop
 
 
 def test_required_samples_closed_form():
@@ -186,8 +186,8 @@ def _batch(kind: str, n: int, k: int, rng: np.random.Generator) -> np.ndarray:
 @pytest.mark.parametrize("kind", ["bitflip", "blockflip", "uniform", "constant"])
 @pytest.mark.parametrize("n", [8, 16, 32, 64])
 def test_rectify_matches_dense_matcher_bit_for_bit(n, kind, theta):
-    # n = 16 crosses the dense matcher's 65,536-row chunk boundary, and on
-    # uniform batches several of rectify's blocks of tied rows
+    # n = 16 crosses the dense matcher's 65,536-row chunk boundary, across
+    # which its tie draws continue one stream
     k = 66_000 if n == 16 else 3_000
     samples = _batch(kind, n, k, np.random.default_rng(n))
     grouped, dense = np.random.default_rng(7), np.random.default_rng(7)
@@ -205,6 +205,15 @@ def test_rectify_matches_dense_matcher_with_hundreds_of_candidates(theta):
     assert grouped.bit_generator.state == dense.bit_generator.state
 
 
+def _tie_heavy(n: int, seed: int, data) -> np.ndarray:
+    """Up to 600 samples of at most 40 distinct width-n values, in a seeded order."""
+    d = min(data.draw(st.integers(1, 40)), 1 << n)
+    values = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=d, max_size=d,
+                                unique=True))
+    counts = data.draw(st.lists(st.integers(1, 15), min_size=d, max_size=d))
+    return np.random.default_rng(seed).permutation(np.repeat(values, counts))
+
+
 @settings(deadline=None, max_examples=80)
 @given(n=st.integers(1, 10), theta=st.floats(0.005, 0.95), seed=st.integers(0, 2 ** 32),
        data=st.data())
@@ -213,14 +222,35 @@ def test_rectify_matches_dense_matcher_on_tie_heavy_inputs(n, theta, seed, data)
     # when the values outnumber the cap, most matches are tied; theta down
     # to 0.005 keeps up to 400 parents (more than 2^n for small n), and
     # n = 1 matches against the 0-bit prefix
-    d = min(data.draw(st.integers(1, 40)), 1 << n)
-    values = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=d, max_size=d,
-                                unique=True))
-    counts = data.draw(st.lists(st.integers(1, 15), min_size=d, max_size=d))
-    samples = np.random.default_rng(seed).permutation(np.repeat(values, counts))
+    samples = _tie_heavy(n, seed, data)
     grouped, dense = np.random.default_rng(seed), np.random.default_rng(seed)
     assert rectify(samples, n, theta, grouped) == rectify_dense(samples, n, theta, dense)
     assert grouped.bit_generator.state == dense.bit_generator.state
+
+
+@settings(deadline=None, max_examples=60)
+@given(n=st.integers(1, 10), theta=st.floats(0.005, 0.95), seed=st.integers(0, 2 ** 32),
+       data=st.data())
+def test_rectify_matches_nearest_match_per_sorted_sample(n, theta, seed, data):
+    # the definition: at every level, nearest_match on each sample in
+    # ascending order; up to 300 samples, from tie-free to mostly tied
+    samples = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=300))
+    grouped, loop = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert rectify(samples, n, theta, grouped) == rectify_loop(samples, n, theta, loop)
+    assert grouped.bit_generator.state == loop.bit_generator.state
+
+
+@settings(deadline=None, max_examples=60)
+@given(n=st.integers(1, 12), theta=st.floats(0.005, 0.95), seeds=st.tuples(
+    st.integers(0, 2 ** 32), st.integers(0, 2 ** 32)), data=st.data())
+def test_rectify_is_order_invariant_with_ties(n, theta, seeds, data):
+    # ties are drawn in ascending sample order, so any order of one batch
+    # gives the same list and leaves the generator in the same state
+    samples = _tie_heavy(n, seeds[0], data)
+    shuffled = np.random.default_rng(seeds[1]).permutation(samples)
+    a, b = np.random.default_rng(seeds[0]), np.random.default_rng(seeds[0])
+    assert rectify(samples, n, theta, a) == rectify(shuffled, n, theta, b)
+    assert a.bit_generator.state == b.bit_generator.state
 
 
 @settings(deadline=None, max_examples=60)
@@ -238,7 +268,7 @@ def test_rectify_list_is_capped_and_distinct(n, theta, seed, data):
     st.integers(0, 2 ** 32), st.integers(0, 2 ** 32)), data=st.data())
 def test_rectify_keeps_up_to_cap_distinct_values_in_any_order(n, theta, seeds, data):
     # with at most cap distinct values, every sample's prefix is itself a
-    # candidate at each level, so no match is tied and no uniform is drawn
+    # candidate at each level, so no match is tied and nothing is drawn
     values = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1,
                                 max_size=list_cap(theta), unique=True))
     samples = [v for v in values for _ in range(data.draw(st.integers(1, 4)))]
