@@ -150,10 +150,6 @@ def parse_table(text: str) -> np.ndarray:
     return data & np.uint8(1)
 
 
-def hamming(a: int, b: int) -> int:
-    return (a ^ b).bit_count()
-
-
 def popcount(arr: np.ndarray) -> np.ndarray:
     return np.bitwise_count(arr)
 

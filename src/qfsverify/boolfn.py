@@ -207,10 +207,6 @@ class FourierSpectrum:
         check_value(s, self.n)
         return self.entries.get(int(s), 0.0)
 
-    def p0(self, s: int) -> float:
-        c = self.coeff(s)
-        return c * c
-
     def loss(self, s: int) -> float:
         """Exact disagreement rate of the parity hypothesis s: (1 - g-hat(s)) / 2."""
         return (1.0 - self.coeff(s)) / 2.0

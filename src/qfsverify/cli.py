@@ -176,7 +176,6 @@ def cmd_experiment(args) -> int:
         cfg.out = args.out
     if args.threads is not None:
         cfg.threads = args.threads
-    cfg.validate()
     summary, _ = run_experiment(cfg)
     print(json.dumps({"mode": cfg.mode, "trials": summary.trials,
                       "successes": summary.successes,

@@ -93,6 +93,10 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
+        for name in ("n", "j", "trials", "seed", "threads"):  # int() would truncate
+            value = doc.get(name, 0)
+            if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+                raise ValueError(f"{name}: must be an integer, got {value!r}")
         try:
             noise = doc["noise"]
             cfg = cls(mode=doc["mode"], n=int(doc["n"]), j=int(doc["j"]),

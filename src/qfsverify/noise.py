@@ -112,12 +112,6 @@ def make_channel(model: str, eta: float) -> NoiseChannel:
     return cls(eta)
 
 
-def apply(channel: NoiseChannel, s: int, n: int, rng: np.random.Generator) -> int:
-    """One noisy copy of the width-n string s: the scalar form of flip_masks."""
-    check_value(s, n)
-    return int(np.uint64(s) ^ channel.flip_masks(n, 1, rng)[0])
-
-
 def eta_eff(eta_dep: float) -> float:
     """Effective flip rate of a depolarizing channel: eta_dep - eta_dep^2 / 2."""
     if not 0.0 <= eta_dep <= 1.0:

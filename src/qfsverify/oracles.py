@@ -2,9 +2,8 @@
 classically simulated noisy Fourier-sampling circuit.
 
 Ground truth may be a BooleanFunction or a FourierSpectrum; both expose
-``n`` and vectorized evaluation. Scalar operations implement the
-definitional sampling loops; ``sample_batch`` is the vectorized
-equivalent used by everything performance-sensitive.
+``n`` and vectorized evaluation. Every sampler draws a batch at once;
+the shot-by-shot loops that define their laws are kept as test oracles.
 """
 from __future__ import annotations
 
@@ -15,21 +14,9 @@ import numpy as np
 from .bits import (RowError, format_rows, parse_labelled_rows, parse_rows,
                    random_words)
 from .boolfn import FourierSpectrum
-from .noise import DepolarizingNoise, NoiseChannel, apply
+from .noise import DepolarizingNoise, NoiseChannel
 
 SAFETY_STOP = 10 ** 6
-
-
-@dataclass(frozen=True)
-class RandomExample:
-    x: int
-    fx: int
-
-
-@dataclass(frozen=True)
-class QfsRawOutcome:
-    s: int
-    y: int
 
 
 @dataclass(eq=False)
@@ -42,15 +29,6 @@ class ExampleBatch:
 
     def __len__(self) -> int:
         return len(self.xs)
-
-    def __getitem__(self, i: int) -> RandomExample:
-        return RandomExample(int(self.xs[i]), int(self.fxs[i]))
-
-
-def random_example(f, rng: np.random.Generator) -> RandomExample:
-    """One uniform labelled pair (x, f(x))."""
-    batch = draw_examples(f, 1, rng)
-    return batch[0]
 
 
 def draw_examples(f, count: int, rng: np.random.Generator) -> ExampleBatch:
@@ -78,76 +56,27 @@ class P0Sampler:
         idx = np.minimum(idx, len(self.support) - 1)
         return self.support[idx]
 
-    def draw(self, rng: np.random.Generator) -> int:
-        return int(self.draw_many(1, rng)[0])
-
-
-def p0_sample(spec: FourierSpectrum, rng: np.random.Generator) -> int:
-    """One draw from p0; batch users should hold a P0Sampler instead."""
-    return P0Sampler(spec).draw(rng)
-
-
-def _raw(sampler: P0Sampler, rng: np.random.Generator) -> QfsRawOutcome:
-    if rng.random() < 0.5:
-        return QfsRawOutcome(sampler.draw(rng), 1)
-    return QfsRawOutcome(0, 0)
-
-
-def qfs_raw(spec: FourierSpectrum, rng: np.random.Generator) -> QfsRawOutcome:
-    """One noise-free circuit shot: y = 1 w.p. 1/2 with s ~ p0, else (0^n, 0)."""
-    return _raw(P0Sampler(spec), rng)
-
-
-def qfs_sample_noisy(spec: FourierSpectrum, channel: NoiseChannel,
-                     rng: np.random.Generator, path: str = "effective") -> int:
-    """One sample from the noisy conditional law (conditioned on noisy y = 1).
-
-    Bit-flip and block-flip channels leave y noiseless: raw shots are
-    repeated until y = 1 and the channel is applied to s. Depolarization
-    offers two routes: the physical path flips s's bits and y itself with
-    eta_eff and conditions on the noisy y; the effective path (default)
-    draws from the equivalent mixture p0_eff and then flips bits.
-    """
-    sampler = P0Sampler(spec)
-    n = spec.n
-    if isinstance(channel, DepolarizingNoise):
-        if path == "physical":
-            eta = channel.eta_eff
-            for _ in range(SAFETY_STOP):
-                raw = _raw(sampler, rng)
-                s = apply(channel, raw.s, n, rng)
-                y = raw.y ^ int(rng.random() < eta)
-                if y == 1:
-                    return s
-            raise RuntimeError("physical-path sampling exceeded the safety stop")
-        if path != "effective":
-            raise ValueError(f"unknown sampling path {path!r}")
-        s = 0 if rng.random() < channel.eta_eff else sampler.draw(rng)
-        return apply(channel, s, n, rng)
-    for _ in range(SAFETY_STOP):
-        raw = _raw(sampler, rng)
-        if raw.y == 1:
-            return apply(channel, raw.s, n, rng)
-    raise RuntimeError("raw sampling exceeded the safety stop")
-
 
 def sample_batch(spec: FourierSpectrum, channel: NoiseChannel, count: int,
                  rng: np.random.Generator, path: str = "effective") -> np.ndarray:
-    """count independent draws of qfs_sample_noisy, vectorized."""
+    """count independent draws of s from the noisy circuit, conditioned on
+    its noisy readout y = 1. Bit-flip and block-flip leave y noiseless, so s
+    is p0 XOR the channel's flip mask on either path. Depolarization also
+    flips y with eta_eff, which makes s's law (1 - eta_eff) p0 + eta_eff delta_0
+    under the flips: the effective path draws that mixture, the physical path
+    simulates shots (y = 1 w.p. 1/2 with s ~ p0, else 0^n) and keeps noisy y = 1."""
     if count < 1:
         raise ValueError(f"sample count must be positive, got {count}")
+    if path not in ("effective", "physical"):
+        raise ValueError(f"unknown sampling path {path!r}")
     sampler = P0Sampler(spec)
-    n = spec.n
-    if isinstance(channel, DepolarizingNoise):
-        if path == "physical":
-            return _physical_batch(sampler, channel, count, rng)
-        if path != "effective":
-            raise ValueError(f"unknown sampling path {path!r}")
-        s = sampler.draw_many(count, rng)
-        s = np.where(rng.random(count) < channel.eta_eff, np.uint64(0), s)
-        return s ^ channel.flip_masks(n, count, rng)
+    depolarizing = isinstance(channel, DepolarizingNoise)
+    if depolarizing and path == "physical":
+        return _physical_batch(sampler, channel, count, rng)
     s = sampler.draw_many(count, rng)
-    return s ^ channel.flip_masks(n, count, rng)
+    if depolarizing:
+        s = np.where(rng.random(count) < channel.eta_eff, np.uint64(0), s)
+    return s ^ channel.flip_masks(spec.n, count, rng)
 
 
 def _physical_batch(sampler: P0Sampler, channel: DepolarizingNoise, count: int,

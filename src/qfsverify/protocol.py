@@ -366,6 +366,8 @@ def read_transcript(path) -> Transcript:
     fields = {}
     for token in header.split()[1:]:
         key, _, value = token.partition("=")
+        if key in fields:
+            raise ParseError(1, f"repeated PARAMS key {key!r}")
         fields[key] = value
     if fields.get("version") != str(TRANSCRIPT_VERSION):
         found = fields.get("version", "1 (no version field)")

@@ -10,15 +10,30 @@ prefixes against the surviving parents, must return the same list as
 both and leave the generator in the same state. read_rows_per_line is
 the dump reader that normalises every line before parsing; the dump
 readers of oracles must return what it returns, or raise its error.
+
+qfs_raw is one noise-free circuit shot, apply one channel use on one
+string, and qfs_sample_noisy one shot-by-shot draw from the noisy
+conditional law, with its own physical depolarizing loop; the draws of
+oracles.sample_batch must follow the same law. hamming is the scalar
+distance nearest_match uses.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from qfsverify.bits import RowError, check_width, fits_rows, hamming, popcount
+from qfsverify.bits import RowError, check_value, check_width, fits_rows, popcount
+from qfsverify.boolfn import FourierSpectrum
+from qfsverify.noise import DepolarizingNoise, NoiseChannel
+from qfsverify.oracles import SAFETY_STOP, P0Sampler
 from qfsverify.rectify import list_cap
 
 _MATCH_CHUNK = 1 << 16
+
+
+def hamming(a: int, b: int) -> int:
+    return (a ^ b).bit_count()
 
 
 def nearest_match(t_prefix: int, candidates, rng: np.random.Generator) -> int:
@@ -99,3 +114,59 @@ def read_rows_per_line(path, kind: str, parse):
         return parse("\n".join(rows[i - 1] for i in linenos))
     except RowError as exc:
         raise ValueError(f"line {linenos[exc.row]}: {exc.reason}") from None
+
+
+def apply(channel: NoiseChannel, s: int, n: int, rng: np.random.Generator) -> int:
+    """One noisy copy of the width-n string s: the scalar form of flip_masks."""
+    check_value(s, n)
+    return int(np.uint64(s) ^ channel.flip_masks(n, 1, rng)[0])
+
+
+@dataclass(frozen=True)
+class QfsRawOutcome:
+    s: int
+    y: int
+
+
+def _raw(sampler: P0Sampler, rng: np.random.Generator) -> QfsRawOutcome:
+    if rng.random() < 0.5:
+        return QfsRawOutcome(int(sampler.draw_many(1, rng)[0]), 1)
+    return QfsRawOutcome(0, 0)
+
+
+def qfs_raw(spec: FourierSpectrum, rng: np.random.Generator) -> QfsRawOutcome:
+    """One noise-free circuit shot: y = 1 w.p. 1/2 with s ~ p0, else (0^n, 0)."""
+    return _raw(P0Sampler(spec), rng)
+
+
+def qfs_sample_noisy(spec: FourierSpectrum, channel: NoiseChannel,
+                     rng: np.random.Generator, path: str = "effective") -> int:
+    """One sample from the noisy conditional law (conditioned on noisy y = 1).
+
+    Bit-flip and block-flip channels leave y noiseless: raw shots are
+    repeated until y = 1 and the channel is applied to s. Depolarization
+    offers two routes: the physical path flips s's bits and y itself with
+    eta_eff and conditions on the noisy y; the effective path (default)
+    draws from the equivalent mixture p0_eff and then flips bits.
+    """
+    sampler = P0Sampler(spec)
+    n = spec.n
+    if isinstance(channel, DepolarizingNoise):
+        if path == "physical":
+            eta = channel.eta_eff
+            for _ in range(SAFETY_STOP):
+                raw = _raw(sampler, rng)
+                s = apply(channel, raw.s, n, rng)
+                y = raw.y ^ int(rng.random() < eta)
+                if y == 1:
+                    return s
+            raise RuntimeError("physical-path sampling exceeded the safety stop")
+        if path != "effective":
+            raise ValueError(f"unknown sampling path {path!r}")
+        s = 0 if rng.random() < channel.eta_eff else int(sampler.draw_many(1, rng)[0])
+        return apply(channel, s, n, rng)
+    for _ in range(SAFETY_STOP):
+        raw = _raw(sampler, rng)
+        if raw.y == 1:
+            return apply(channel, raw.s, n, rng)
+    raise RuntimeError("raw sampling exceeded the safety stop")

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from qfsverify.bits import CapacityError, format_bits, hamming, parse_bits
+from qfsverify.bits import CapacityError, format_bits, parse_bits
 from qfsverify.boolfn import (BooleanFunction, FourierSpectrum, GenerationError,
                               coeff_bruteforce, fwht, gen_ftau, read_function,
                               read_spectrum, write_function, write_spectrum)
+from reference import hamming
 
 # Brute-force AND2 spectrum, computed by summing g(x) * chi_s(x) over all
 # four inputs by hand: g = (1, 1, 1, -1).

@@ -273,6 +273,17 @@ def test_transcript_grammar_faults_name_their_line(tmp_path, body, lineno, reaso
     assert err.value.lineno == lineno
 
 
+@pytest.mark.parametrize("key", ["n", "version"])
+def test_a_repeated_params_key_is_refused(tmp_path, key):
+    # the later n = 2 matches REQ 13102, so keeping the last value would read cleanly
+    header = _PARAMS2.replace("PARAMS version=2 n=2 ", "PARAMS version=2 n=4 ")
+    path = tmp_path / "t.txt"
+    path.write_text(header.rstrip("\n") + f" {key}=2\nREQ 13102\nOUTCOME REJECT ProverError\n")
+    with pytest.raises(ParseError, match=f"repeated PARAMS key '{key}'") as err:
+        read_transcript(path)
+    assert err.value.lineno == 1
+
+
 @pytest.mark.parametrize("edit,found", [
     (lambda line: line.replace(" version=2", ""), "version 1 (no version field)"),
     (lambda line: line.replace(" version=2", " version=3"), "version 3"),

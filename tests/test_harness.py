@@ -41,6 +41,7 @@ def test_wilson_interval_values():
 def test_config_from_dict_and_validation():
     cfg = ExperimentConfig.from_dict(base_config())
     assert cfg.mode == "rectify" and cfg.eta == 0.02
+    assert ExperimentConfig.from_dict(base_config(n=16.0, seed=7.0)).seed == 7
 
     with pytest.raises(ValueError, match="trials"):
         ExperimentConfig.from_dict(base_config(trials=0))
@@ -57,6 +58,15 @@ def test_config_from_dict_and_validation():
     bad_noise = base_config(noise={"model": "bitflip", "eta": 0.7})
     with pytest.raises(ValueError):
         ExperimentConfig.from_dict(bad_noise)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("n", 16.9), ("j", 2.5), ("trials", True), ("seed", 7.7), ("threads", False),
+    ("seed", float("nan")),
+])
+def test_config_integers_are_not_truncated(field, value):
+    with pytest.raises(ValueError, match=f"^{field}: must be an integer"):
+        ExperimentConfig.from_dict(base_config(**{field: value}))
 
 
 def test_trial_record_comparison_ignores_wall_clock():

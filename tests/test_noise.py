@@ -4,8 +4,7 @@ import pytest
 from conftest import empirical_counts, tv_distance
 from qfsverify.bits import CapacityError
 from qfsverify.noise import (BitFlipNoise, BlockFlipNoise, DepolarizingNoise,
-                             analytic_noisy_dist, apply, eta_eff, make_channel,
-                             p0_eff)
+                             analytic_noisy_dist, eta_eff, make_channel, p0_eff)
 
 
 def test_eta_eff_values():
@@ -41,8 +40,7 @@ def test_make_channel():
 def test_apply_identity_channel():
     rng = np.random.default_rng(0)
     for ch in (BitFlipNoise(0.0), BlockFlipNoise(0.0), DepolarizingNoise(0.0)):
-        for s in (0b0000, 0b1010, 0b1111):
-            assert apply(ch, s, 4, rng) == s
+        assert np.all(ch.flip_masks(4, 3, rng) == 0)
 
 
 def test_bitflip_near_half_is_nearly_uniform():

@@ -7,17 +7,15 @@ from conftest import empirical_counts, tv_distance
 from qfsverify.boolfn import BooleanFunction, FourierSpectrum
 from qfsverify.noise import (BitFlipNoise, BlockFlipNoise, DepolarizingNoise,
                              analytic_noisy_dist, p0_eff)
-from qfsverify.oracles import (P0Sampler, draw_examples, p0_sample, qfs_raw,
-                               qfs_sample_noisy, random_example, read_examples,
-                               read_samples, sample_batch, write_examples,
-                               write_samples)
+from qfsverify.oracles import (P0Sampler, draw_examples, read_examples, read_samples,
+                               sample_batch, write_examples, write_samples)
+from reference import qfs_raw, qfs_sample_noisy
 
 
 def test_random_example_constant_zero():
     f = BooleanFunction.dense(3, np.zeros(8, dtype=np.uint8))
     rng = np.random.default_rng(0)
-    for _ in range(20):
-        assert random_example(f, rng).fx == 0
+    assert np.all(draw_examples(f, 20, rng).fxs == 0)
 
 
 def test_random_example_uniform():
@@ -41,7 +39,7 @@ def test_random_example_parity_correlation():
 def test_p0_sampler_point_mass():
     spec = FourierSpectrum(3, {0b101: 1.0})
     rng = np.random.default_rng(3)
-    assert all(p0_sample(spec, rng) == 0b101 for _ in range(10))
+    assert np.all(P0Sampler(spec).draw_many(10, rng) == 0b101)
 
 
 def test_p0_sampler_and2(and2):
@@ -134,8 +132,30 @@ def test_scalar_depolarizing_paths(and2):
         p0 = {int(s): float(c * c) for s, c in zip(spec.support, spec.coeffs)}
         exact = analytic_noisy_dist(p0_eff(p0, ch.eta_eff), ch.eta_eff, 2)
         assert tv_distance(empirical_counts(draws, 2), exact) <= 0.02
-    with pytest.raises(ValueError):
-        qfs_sample_noisy(spec, ch, rng, path="sideways")
+
+
+def test_sample_batch_paths_on_every_channel(and2):
+    spec = and2.spectrum()
+    for ch in (BitFlipNoise(0.1), BlockFlipNoise(0.1), DepolarizingNoise(0.1)):
+        with pytest.raises(ValueError, match="unknown sampling path 'sideways'"):
+            sample_batch(spec, ch, 10, np.random.default_rng(12), path="sideways")
+        eff, phys = (sample_batch(spec, ch, 10, np.random.default_rng(12), path=path)
+                     for path in ("effective", "physical"))
+        # only depolarization flips y, so only it has a physical route of its own
+        assert np.array_equal(eff, phys) != isinstance(ch, DepolarizingNoise)
+
+
+def test_blockflip_batch_law_matches_scalar_oracle_at_odd_width():
+    # n = 3: one flipped pair plus the unpaired trailing bit, a case the
+    # binary-symmetric analytic oracle cannot check
+    spec = BooleanFunction.dense(3, [0, 1, 1, 0, 1, 0, 0, 0]).spectrum()
+    ch = BlockFlipNoise(0.2)
+    rng = np.random.default_rng(18)
+    batch = sample_batch(spec, ch, 20000, rng)
+    scalar = np.array([qfs_sample_noisy(spec, ch, rng) for _ in range(20000)],
+                      dtype=np.uint64)
+    assert tv_distance(empirical_counts(batch, 3),
+                       empirical_counts(scalar, 3) / 20000) <= 0.02
 
 
 def test_sample_batch_basics(and2_at16):
