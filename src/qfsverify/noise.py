@@ -12,40 +12,58 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bits import CapacityError, check_value, check_width, pack_rows, popcount
+from .bits import CapacityError, check_value, check_width, popcount
 
 ANALYTIC_WIDTH_CAP = 12
 MASS_TOL = 1e-9
 
 
-class _IndependentFlips:
-    """flip_masks for channels that flip each bit independently with
-    probability ``strength``."""
+class _UnitFlips:
+    """flip_masks for channels flipping runs of ``_UNIT`` adjacent bits from bit 1
+    (the last may be shorter) independently with probability strength: the flipped
+    slots come from geometric gaps (Devroye 1986, ch. X), clipped so no sum wraps."""
+
+    _UNIT = 1
 
     def flip_masks(self, n: int, count: int, rng: np.random.Generator) -> np.ndarray:
         check_width(n)
-        if self.strength == 0.0:
-            return np.zeros(count, dtype=np.uint64)
-        return pack_rows(rng.random((count, n)) < self.strength)
+        u, p = self._UNIT, self.strength
+        unit_masks = np.array([((1 << min(u, n - i)) - 1) << max(n - i - u, 0)
+                               for i in range(0, n, u)], dtype=np.uint64)
+        slots = count * len(unit_masks)
+        ends = [np.zeros(1, dtype=np.int64)]  # 0, then the flipped slots, 1-based
+        while p > 0.0 and ends[-1][-1] < slots:
+            gaps = rng.geometric(p, int(slots * p + 6.0 * (slots * p) ** 0.5) + 8)
+            ends.append(ends[-1][-1] + np.cumsum(np.minimum(gaps, slots + 1)))
+        ends = np.concatenate(ends)[1:]
+        rows, units = np.divmod(ends[ends <= slots] - 1, len(unit_masks))
+        starts = np.flatnonzero(np.diff(rows, prepend=-1))
+        masks = np.zeros(count, dtype=np.uint64)
+        masks[rows[starts]] = np.bitwise_or.reduceat(unit_masks[units], starts)
+        return masks
 
 
 @dataclass(frozen=True)
-class BitFlipNoise(_IndependentFlips):
-    """Independent per-bit flips with probability eta < 1/2."""
+class _EtaFlips(_UnitFlips):
+    """A unit-flip channel whose strength is its parameter eta < 1/2."""
 
     eta: float
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.eta < 0.5:
-            raise ValueError(f"bit-flip strength must lie in [0, 1/2), got {self.eta}")
+            raise ValueError(f"{type(self).__name__}: eta must lie in [0, 1/2), got {self.eta}")
 
     @property
     def strength(self) -> float:
         return self.eta
 
 
+class BitFlipNoise(_EtaFlips):
+    """Independent per-bit flips with probability eta < 1/2."""
+
+
 @dataclass(frozen=True)
-class DepolarizingNoise(_IndependentFlips):
+class DepolarizingNoise(_UnitFlips):
     """Depolarization of strength eta_dep on every measured qubit.
 
     At the outcome level each bit (the y readout included) flips with the
@@ -63,37 +81,12 @@ class DepolarizingNoise(_IndependentFlips):
         return self.eta_eff
 
 
-@dataclass(frozen=True)
-class BlockFlipNoise:
-    """Correlated noise: disjoint adjacent pairs (1,2), (3,4), ... are each
-    flipped jointly with probability eta; an unpaired trailing bit flips
-    independently with the same probability, so every per-bit marginal
-    flip rate equals eta."""
+class BlockFlipNoise(_EtaFlips):
+    """Correlated noise: disjoint adjacent pairs (1,2), (3,4), ... each flip
+    jointly with probability eta, and an unpaired trailing bit alone, so
+    every bit flips with probability eta."""
 
-    eta: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.eta < 0.5:
-            raise ValueError(f"block-flip strength must lie in [0, 1/2), got {self.eta}")
-
-    @property
-    def strength(self) -> float:
-        return self.eta
-
-    def flip_masks(self, n: int, count: int, rng: np.random.Generator) -> np.ndarray:
-        check_width(n)
-        if self.eta == 0.0:
-            return np.zeros(count, dtype=np.uint64)
-        pairs = n // 2
-        mask = np.zeros(count, dtype=np.uint64)
-        for p in range(pairs):
-            hit = rng.random(count) < self.eta
-            pair_bits = np.uint64(0b11) << np.uint64(n - 2 - 2 * p)
-            mask |= np.where(hit, pair_bits, np.uint64(0))
-        if n % 2:
-            hit = rng.random(count) < self.eta
-            mask |= np.where(hit, np.uint64(1), np.uint64(0))
-        return mask
+    _UNIT = 2
 
 
 NoiseChannel = BitFlipNoise | DepolarizingNoise | BlockFlipNoise

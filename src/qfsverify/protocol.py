@@ -408,11 +408,14 @@ def read_transcript(path) -> Transcript:
         if w != params.n:
             raise ParseError(lineno, f"outcome width {w} != {params.n}")
         outcome: Outcome = Accepted(s0)
+        want = (params.kprime2, params.kprime3)  # the examples verifier_run drew
     elif len(parts) == 3 and parts[1] == "REJECT" and parts[2] in REJECT_REASONS:
         outcome = Rejected(parts[2])
+        want = (params.kprime2 if parts[2] == VALIDATION_FAILED else 0, 0)
     else:
         raise ParseError(lineno, f"malformed OUTCOME line {line!r}")
     if pos < len(text):
         raise ParseError(lineno + 1, "trailing content after the OUTCOME line")
-    return Transcript(params, seed, messages, outcome, kprime2_used=counts[0],
-                      kprime3_used=counts[1])
+    if counts != want:
+        raise ParseError(1, f"kprime2, kprime3 = {counts}; this outcome needs {want}")
+    return Transcript(params, seed, messages, outcome, *counts)

@@ -23,3 +23,18 @@ def tv_distance(emp_counts: np.ndarray, exact: np.ndarray) -> float:
 
 def empirical_counts(samples: np.ndarray, n: int) -> np.ndarray:
     return np.bincount(samples.astype(np.int64), minlength=1 << n)
+
+
+def chi_square_ok(counts: np.ndarray, probs: np.ndarray, z: float = 5.0) -> bool:
+    """Pearson's chi-square test of counts against probs: no count where
+    the law puts no mass, and the statistic below the Wilson-Hilferty
+    upper z-quantile of chi-square (a false alarm rate of about 3e-7 at
+    z = 5)."""
+    counts, probs = np.asarray(counts, dtype=np.float64), np.asarray(probs)
+    if counts[probs == 0].any():
+        return False
+    keep = probs > 0
+    expected = counts.sum() * probs[keep]
+    stat = float(((counts[keep] - expected) ** 2 / expected).sum())
+    df = int(keep.sum()) - 1
+    return stat <= df * (1 - 2 / (9 * df) + z * (2 / (9 * df)) ** 0.5) ** 3

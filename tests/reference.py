@@ -11,11 +11,13 @@ both and leave the generator in the same state. read_rows_per_line is
 the dump reader that normalises every line before parsing; the dump
 readers of oracles must return what it returns, or raise its error.
 
-qfs_raw is one noise-free circuit shot, apply one channel use on one
-string, and qfs_sample_noisy one shot-by-shot draw from the noisy
-conditional law, with its own physical depolarizing loop; the draws of
-oracles.sample_batch must follow the same law. hamming is the scalar
-distance nearest_match uses.
+dense_flip_masks is the flip sampler that draws one uniform per bit (per
+pair, for block-flip); the masks of the channels' own flip_masks must
+follow its law. qfs_raw is one noise-free circuit shot, apply one channel
+use on one string through dense_flip_masks, and qfs_sample_noisy one
+shot-by-shot draw from the noisy conditional law, with its own physical
+depolarizing loop; the draws of oracles.sample_batch must follow the same
+law. hamming is the scalar distance nearest_match uses.
 """
 from __future__ import annotations
 
@@ -23,9 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from qfsverify.bits import RowError, check_value, check_width, fits_rows, popcount
+from qfsverify.bits import (RowError, check_value, check_width, fits_rows, pack_rows,
+                            popcount)
 from qfsverify.boolfn import FourierSpectrum
-from qfsverify.noise import DepolarizingNoise, NoiseChannel
+from qfsverify.noise import BlockFlipNoise, DepolarizingNoise, NoiseChannel
 from qfsverify.oracles import SAFETY_STOP, P0Sampler
 from qfsverify.rectify import list_cap
 
@@ -116,10 +119,28 @@ def read_rows_per_line(path, kind: str, parse):
         raise ValueError(f"line {linenos[exc.row]}: {exc.reason}") from None
 
 
+def dense_flip_masks(channel: NoiseChannel, n: int, count: int,
+                     rng: np.random.Generator) -> np.ndarray:
+    """count flip masks from one uniform per bit, or per adjacent pair and
+    the unpaired trailing bit for block-flip."""
+    check_width(n)
+    if channel.strength == 0.0:
+        return np.zeros(count, dtype=np.uint64)
+    if not isinstance(channel, BlockFlipNoise):
+        return pack_rows(rng.random((count, n)) < channel.strength)
+    mask = np.zeros(count, dtype=np.uint64)
+    for p in range(n // 2):
+        hit = rng.random(count) < channel.eta
+        mask |= np.where(hit, np.uint64(0b11) << np.uint64(n - 2 - 2 * p), np.uint64(0))
+    if n % 2:
+        mask |= np.where(rng.random(count) < channel.eta, np.uint64(1), np.uint64(0))
+    return mask
+
+
 def apply(channel: NoiseChannel, s: int, n: int, rng: np.random.Generator) -> int:
-    """One noisy copy of the width-n string s: the scalar form of flip_masks."""
+    """One noisy copy of the width-n string s under dense_flip_masks."""
     check_value(s, n)
-    return int(np.uint64(s) ^ channel.flip_masks(n, 1, rng)[0])
+    return int(np.uint64(s) ^ dense_flip_masks(channel, n, 1, rng)[0])
 
 
 @dataclass(frozen=True)

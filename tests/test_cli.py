@@ -156,16 +156,17 @@ def test_choices_come_from_the_registries():
 # outputs of verify --seed 4 on AND2 at width 16 (tau .5, eps .45, delta .2,
 # eta .025), captured before adversary construction moved into make_prover;
 # blockflip's honest s0 was captured again under transcript version 2's tie
-# rule (it was 0000100000000000; both have regret 0)
+# rule, and the accepted s0s again under the geometric-gap flip sampler (the
+# four support strings of AND2 tie, so every s0 here has regret 0)
 _REJECTED = {"outcome": "reject", "reason": "ValidationFailed"}
 PINNED_VERIFY = {
     **{(model, kind): _REJECTED for model in CHANNELS
        for kind in ("uniform", "wrongfunction", "constant")},
-    ("bitflip", None): {"outcome": "accept", "s0": "0000000000000000", "regret": 0.0},
-    ("bitflip", "omit"): {"outcome": "accept", "s0": "0000000000000000", "regret": 0.0},
-    ("blockflip", None): {"outcome": "accept", "s0": "0010000000000000", "regret": 0.0},
+    ("bitflip", None): {"outcome": "accept", "s0": "0000100000000000", "regret": 0.0},
+    ("bitflip", "omit"): {"outcome": "accept", "s0": "0000100000000000", "regret": 0.0},
+    ("blockflip", None): {"outcome": "accept", "s0": "0000000000000000", "regret": 0.0},
     ("blockflip", "omit"): _REJECTED,
-    ("depolarizing", None): {"outcome": "accept", "s0": "0010000000000000",
+    ("depolarizing", None): {"outcome": "accept", "s0": "0000100000000000",
                              "regret": 0.0},
 }
 

@@ -8,12 +8,12 @@ import pytest
 from qfsverify.boolfn import FourierSpectrum, gen_ftau
 from qfsverify.noise import BitFlipNoise, make_channel
 from qfsverify.protocol import (ADVERSARY_KINDS, BAD_BATCH, HONEST,
-                                PROVER_ERROR, VALIDATION_FAILED, ParseError,
-                                Rejected, SampleBatch, SampleRequest,
-                                VerifierParams, deserialize, honest_prover,
-                                make_prover, protocol_trial, read_transcript,
-                                replay_transcript, serialize, verifier_run,
-                                write_transcript)
+                                PROVER_ERROR, VALIDATION_FAILED, Accepted,
+                                ParseError, Rejected, SampleBatch, SampleRequest,
+                                Transcript, VerifierParams, deserialize,
+                                honest_prover, make_prover, protocol_trial,
+                                read_transcript, replay_transcript, serialize,
+                                verifier_run, write_transcript)
 from qfsverify.rectify import required_samples
 from qfsverify.spectral import examples_needed
 
@@ -99,17 +99,18 @@ def test_make_prover_every_kind(kind, and2_at16):
 
 
 # sha256 prefixes of 1000-sample batches on AND2 at width 16 (eta 0.025,
-# rng seed 31), captured from the per-kind constructors make_prover replaced
+# rng seed 31), captured from the per-kind constructors make_prover replaced;
+# the noisy kinds were captured again under the geometric-gap flip sampler
 PINNED_BATCH_DIGESTS = {
-    ("bitflip", "honest"): "6057d9b0d2f2c150",
+    ("bitflip", "honest"): "a1d6e646b649afce",
     ("bitflip", "uniform"): "8d7a375dbdc08dd5",
-    ("bitflip", "wrongfunction"): "2dc9e7c29d2f34de",
-    ("bitflip", "omit"): "c63baf9e984cb0ed",
+    ("bitflip", "wrongfunction"): "16b3db16d35e98f6",
+    ("bitflip", "omit"): "58d6f6a4503f70f4",
     ("bitflip", "constant"): "668946bab9868b28",
-    ("blockflip", "honest"): "6271bcba8d17123e",
+    ("blockflip", "honest"): "f22f28f36acbfa95",
     ("blockflip", "uniform"): "8d7a375dbdc08dd5",
-    ("blockflip", "wrongfunction"): "e2c2e06a82c59575",
-    ("blockflip", "omit"): "2216ef720463be72",
+    ("blockflip", "wrongfunction"): "5501d0774e9429cb",
+    ("blockflip", "omit"): "ad0c7b0f57948f15",
     ("blockflip", "constant"): "668946bab9868b28",
 }
 
@@ -306,6 +307,28 @@ def test_replay_reproduces_rejections(tmp_path, and2_at16):
     path = tmp_path / "transcript.txt"
     write_transcript(transcript, path)
     assert replay_transcript(read_transcript(path), and2_at16) == outcome
+
+
+# each outcome's (kprime2, kprime3): the examples verifier_run draws before it
+_K2, _K3 = params16().kprime2, params16().kprime3
+_COUNTS = {PROVER_ERROR: (0, 0), BAD_BATCH: (0, 0), VALIDATION_FAILED: (_K2, 0),
+           "accept": (_K2, _K3)}
+_PAIRS = [(0, 0), (_K2, 0), (_K2, _K3), (0, _K3), (1, 0), (_K2 + 1, 0), (_K2, _K3 - 1)]
+
+
+@pytest.mark.parametrize("outcome", list(_COUNTS))
+@pytest.mark.parametrize("pair", _PAIRS)
+def test_transcript_counts_must_fit_the_outcome(tmp_path, outcome, pair):
+    p = params16()
+    result = Accepted(0b101) if outcome == "accept" else Rejected(outcome)
+    path = tmp_path / "t.txt"
+    write_transcript(Transcript(p, 5, [SampleRequest(p.k)], result, *pair), path)
+    if pair == _COUNTS[outcome]:
+        assert read_transcript(path).outcome == result
+        return
+    with pytest.raises(ParseError) as err:
+        read_transcript(path)
+    assert err.value.lineno == 1
 
 
 def test_reader_ignores_the_retired_kprime1_field(tmp_path, and2_at16):
