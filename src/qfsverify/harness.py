@@ -18,8 +18,8 @@ import numpy as np
 from .boolfn import BooleanFunction, FourierSpectrum, gen_ftau, read_function
 from .noise import make_channel
 from .oracles import sample_batch
-from .protocol import (ADVERSARY_KINDS, HONEST, VerifierParams, make_prover,
-                       protocol_trial)
+from .protocol import (ADVERSARY_KINDS, HONEST, VerifierParams, examples_drawn,
+                       make_prover, protocol_trial)
 from .rectify import heavy_set, rectify, required_samples
 from .spectral import argmax_estimate, regret, sparse_estimate
 
@@ -186,11 +186,11 @@ def run_trial(cfg: ExperimentConfig, index: int,
         prover = make_prover(kind, spec, channel, prover_rng, j=cfg.j, tau=cfg.tau)
         trial = protocol_trial(params, f, prover, verifier_seed, spec)
         ok = trial.correct if cfg.mode == "verify-complete" else trial.wrong_accept
-        used = trial.transcript.kprime2_used + trial.transcript.kprime3_used
         rec = TrialRecord(index, trial_seed, ok, correct=trial.correct,
                           wrong_accept=trial.wrong_accept,
                           regret=None if math.isnan(trial.regret) else trial.regret,
-                          qfs_samples=params.k, examples=used)
+                          qfs_samples=params.k,
+                          examples=sum(examples_drawn(params, trial.outcome)))
     rec.ms = (time.perf_counter() - start) * 1000.0
     return rec
 
@@ -209,7 +209,8 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[Summary, list[TrialRecord]]:
     if fixed is not None and len(fixed.spectrum().entries) < need:
         raise ValueError(f"function: {cfg.adversary} needs a target with at least "
                          f"{need} support strings")
-    workers = cfg.threads if cfg.threads > 0 else (os.cpu_count() or 1)
+    workers = cfg.threads or (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                              else os.cpu_count() or 1)  # 0: the CPUs this process may use
     if workers == 1:
         records = [run_trial(cfg, i, fixed) for i in range(cfg.trials)]
     else:

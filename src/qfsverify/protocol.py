@@ -131,13 +131,11 @@ Outcome = Accepted | Rejected
 
 
 @dataclass(eq=False)
-class Transcript:
+class Transcript:  # the request is always REQ params.k; examples_drawn gives the counts
     params: VerifierParams
     seed: int
-    messages: list
+    reply: SampleBatch | None  # None: the prover raised, or sent what the wire cannot carry
     outcome: Outcome
-    kprime2_used: int = 0
-    kprime3_used: int = 0
 
 
 def serialize(msg: Message) -> str:
@@ -260,6 +258,23 @@ def _omit_heaviest(spec: FourierSpectrum) -> FourierSpectrum:
     return FourierSpectrum(spec.n, {s: c / scale for s, c in rest.items()})
 
 
+def check_reply(reply, params: VerifierParams) -> tuple[SampleBatch | None, Rejected | None]:
+    """What a prover's reply earns: the batch a transcript records (None when
+    the wire format cannot carry the reply) and the rejection, BadBatch
+    unless the reply is a 1-D uint64 batch of k width-n values, else None."""
+    writable = isinstance(reply, SampleBatch) and fits_rows(reply.samples, reply.n)
+    if not writable or reply.n != params.n or len(reply.samples) != params.k:
+        return (reply if writable else None), Rejected(BAD_BATCH)
+    return reply, None
+
+
+def examples_drawn(params: VerifierParams, outcome: Outcome) -> tuple[int, int]:
+    """(k'2, k'3): the random examples a verifier run draws before ``outcome``."""
+    if isinstance(outcome, Accepted):
+        return params.kprime2, params.kprime3
+    return (params.kprime2 if outcome.reason == VALIDATION_FAILED else 0), 0
+
+
 def verifier_run(params: VerifierParams, f: BooleanFunction, prover,
                  seed: int) -> tuple[Outcome, Transcript]:
     """Execute the three verifier steps against a prover responder.
@@ -268,49 +283,32 @@ def verifier_run(params: VerifierParams, f: BooleanFunction, prover,
     example draws) is derived from ``seed``, so a transcript replays
     bit-exactly against its recorded batch. The target function is used
     through the random example oracle only. A prover that raises is
-    rejected with ProverError; a reply that is not a 1-D uint64 batch of
-    the requested count and width is rejected with BadBatch. A reply is
-    recorded only when the wire format can carry it, so every transcript
-    can be written and read back.
+    rejected with ProverError; any other reply goes through check_reply.
     """
     rng = np.random.default_rng(seed)
-    req = SampleRequest(params.k)
-    messages: list = [req]
     try:
-        reply = prover(req)
+        reply = prover(SampleRequest(params.k))
     except Exception:  # the prover is untrusted: its failure is a rejection
-        outcome: Outcome = Rejected(PROVER_ERROR)
-        return outcome, Transcript(params, seed, messages, outcome)
-    writable = isinstance(reply, SampleBatch) and fits_rows(reply.samples, reply.n)
-    if writable:
-        messages.append(reply)
-    if not writable or reply.n != params.n or len(reply.samples) != req.count:
-        outcome = Rejected(BAD_BATCH)
-        return outcome, Transcript(params, seed, messages, outcome)
-    candidates = rectify(reply.samples, params.n, params.theta, rng)
-    ex2 = draw_examples(f, params.kprime2, rng)
-    est2 = estimate_coeffs(candidates, ex2)
-    validation_sum = sum(v * v for v in est2.values())
-    if validation_sum < params.step2_threshold:
-        outcome = Rejected(VALIDATION_FAILED)
-        return outcome, Transcript(params, seed, messages, outcome,
-                                   kprime2_used=params.kprime2)
-    ex3 = draw_examples(f, params.kprime3, rng)
-    est3 = estimate_coeffs(candidates, ex3)
-    outcome = Accepted(argmax_estimate(est3))
-    return outcome, Transcript(params, seed, messages, outcome,
-                               kprime2_used=params.kprime2,
-                               kprime3_used=params.kprime3)
+        recorded, outcome = None, Rejected(PROVER_ERROR)
+    else:
+        recorded, outcome = check_reply(reply, params)
+    if outcome is None:
+        candidates = rectify(recorded.samples, params.n, params.theta, rng)
+        est2 = estimate_coeffs(candidates, draw_examples(f, params.kprime2, rng))
+        if sum(v * v for v in est2.values()) < params.step2_threshold:
+            outcome = Rejected(VALIDATION_FAILED)
+        else:
+            est3 = estimate_coeffs(candidates, draw_examples(f, params.kprime3, rng))
+            outcome = Accepted(argmax_estimate(est3))
+    return outcome, Transcript(params, seed, recorded, outcome)
 
 
 def replay_transcript(transcript: Transcript, f: BooleanFunction) -> Outcome:
     """Re-run the verifier on the recorded batch and seed."""
-    batch = next((m for m in transcript.messages if isinstance(m, SampleBatch)), None)
-
     def respond(req: SampleRequest):
-        if batch is None and transcript.outcome == Rejected(PROVER_ERROR):
+        if transcript.reply is None and transcript.outcome == Rejected(PROVER_ERROR):
             raise RuntimeError("the recorded prover raised")
-        return batch
+        return transcript.reply
     outcome, _ = verifier_run(transcript.params, f, respond, transcript.seed)
     return outcome
 
@@ -323,7 +321,6 @@ class ProtocolTrial:
     correct: bool
     wrong_accept: bool
     regret: float
-    transcript: Transcript
 
 
 def protocol_trial(params: VerifierParams, f: BooleanFunction, prover, seed: int,
@@ -335,22 +332,23 @@ def protocol_trial(params: VerifierParams, f: BooleanFunction, prover, seed: int
     """
     if spec is None:
         spec = f.spectrum()
-    outcome, transcript = verifier_run(params, f, prover, seed)
+    outcome, _ = verifier_run(params, f, prover, seed)
     if isinstance(outcome, Accepted):
         r = regret(spec, outcome.s0)
         good = r <= params.eps
-        return ProtocolTrial(outcome, good, not good, r, transcript)
-    return ProtocolTrial(outcome, False, False, math.nan, transcript)
+        return ProtocolTrial(outcome, good, not good, r)
+    return ProtocolTrial(outcome, False, False, math.nan)
 
 
 def write_transcript(t: Transcript, path) -> None:
+    k2, k3 = examples_drawn(t.params, t.outcome)
     with open(path, "w") as fh:
         fh.write(
             f"PARAMS version={TRANSCRIPT_VERSION} n={t.params.n} tau={t.params.tau!r} "
             f"eps={t.params.eps!r} delta={t.params.delta!r} seed={t.seed} "
-            f"kprime2={t.kprime2_used} kprime3={t.kprime3_used}\n")
-        for msg in t.messages:
-            fh.write(serialize(msg) + "\n")
+            f"kprime2={k2} kprime3={k3}\n{serialize(SampleRequest(t.params.k))}\n")
+        if t.reply is not None:
+            fh.write(serialize(t.reply) + "\n")
         if isinstance(t.outcome, Accepted):
             fh.write(f"OUTCOME ACCEPT {format_bits(t.outcome.s0, t.params.n)}\n")
         else:
@@ -408,14 +406,21 @@ def read_transcript(path) -> Transcript:
         if w != params.n:
             raise ParseError(lineno, f"outcome width {w} != {params.n}")
         outcome: Outcome = Accepted(s0)
-        want = (params.kprime2, params.kprime3)  # the examples verifier_run drew
     elif len(parts) == 3 and parts[1] == "REJECT" and parts[2] in REJECT_REASONS:
         outcome = Rejected(parts[2])
-        want = (params.kprime2 if parts[2] == VALIDATION_FAILED else 0, 0)
     else:
         raise ParseError(lineno, f"malformed OUTCOME line {line!r}")
+    reply = messages[1] if len(messages) == 2 else None
+    _, rejection = check_reply(reply, params)  # the outcomes a run can end in after it:
+    if rejection is None:
+        fits = isinstance(outcome, Accepted) or outcome == Rejected(VALIDATION_FAILED)
+    else:
+        fits = outcome == rejection or reply is None and outcome == Rejected(PROVER_ERROR)
+    if not fits:
+        raise ParseError(lineno, f"{line!r} cannot follow {'this' if reply else 'no'} BATCH")
     if pos < len(text):
         raise ParseError(lineno + 1, "trailing content after the OUTCOME line")
+    want = examples_drawn(params, outcome)
     if counts != want:
         raise ParseError(1, f"kprime2, kprime3 = {counts}; this outcome needs {want}")
-    return Transcript(params, seed, messages, outcome, *counts)
+    return Transcript(params, seed, reply, outcome)

@@ -90,6 +90,19 @@ def test_replay_refuses_an_unversioned_transcript(tmp_path, capsys, and2_at16):
                             "field); this reader reads version 2 only\n")
 
 
+def test_replay_refuses_an_outcome_the_reply_cannot_earn(tmp_path, capsys):
+    # no BATCH was recorded, so no verifier run could have accepted
+    fn = tmp_path / "x1.fn"
+    write_function(BooleanFunction.dense(2, np.array([0, 0, 1, 1])), fn)
+    transcript = tmp_path / "transcript.txt"
+    transcript.write_text("PARAMS version=2 n=2 tau=0.5 eps=0.45 delta=0.2 seed=1 "
+                          "kprime2=44898 kprime3=55\nREQ 13102\nOUTCOME ACCEPT 01\n")
+    assert run_cli("verify", "--function", fn, "--replay", transcript) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: line 3: ") and captured.err.count("\n") == 1
+
+
 def test_verify_adversary_rejects(tmp_path, capsys, and2_at16):
     fn = tmp_path / "and2.fn"
     write_function(and2_at16, fn)

@@ -16,11 +16,12 @@ from qfsverify.cli import main
 from qfsverify.noise import BitFlipNoise
 from qfsverify.oracles import (draw_examples, read_examples, read_samples,
                                sample_batch, write_examples, write_samples)
-from qfsverify.protocol import (BAD_BATCH, PROVER_ERROR, Accepted, ParseError,
-                                Rejected, SampleBatch, SampleRequest, Transcript,
-                                VerifierParams, deserialize, honest_prover,
-                                make_prover, read_transcript, replay_transcript,
-                                serialize, verifier_run, write_transcript)
+from qfsverify.protocol import (BAD_BATCH, PROVER_ERROR, VALIDATION_FAILED, Accepted,
+                                ParseError, Rejected, SampleBatch, Transcript,
+                                VerifierParams, deserialize, examples_drawn,
+                                honest_prover, make_prover, read_transcript,
+                                replay_transcript, serialize, verifier_run,
+                                write_transcript)
 from reference import read_rows_per_line
 
 # timings on a shared 2-core machine are too noisy for a per-example deadline
@@ -190,7 +191,7 @@ def test_transcript_files_with_crlf_line_ends_read_back(tmp_path, and2_at16):
     crlf = tmp_path / "crlf.txt"
     crlf.write_bytes((tmp_path / "t.txt").read_bytes().replace(b"\n", b"\r\n"))
     back = read_transcript(crlf)
-    assert back.messages == t.messages and back.outcome == t.outcome == outcome
+    assert back.reply == t.reply and back.outcome == t.outcome == outcome
     assert replay_transcript(back, and2_at16) == outcome
 
 
@@ -203,26 +204,25 @@ def test_wire_round_trip(batch):
 
 
 def _transcripts():
-    params = st.builds(VerifierParams, n=st.integers(1, 64),
-                       tau=st.floats(0.05, 0.95), eps=st.floats(0.05, 0.95),
-                       delta=st.floats(0.05, 0.95))
-
     @st.composite
     def build(draw):
-        p = draw(params)
+        # the reader takes only the (reply, outcome) pairs a verifier run writes:
+        # no reply, a reply of the wrong count, or one of all k rows (a tau of
+        # at least 0.8 keeps k below 5,000)
+        reply = draw(st.sampled_from(["none", "short", "full"]))
+        p = draw(st.builds(VerifierParams, n=st.integers(1, 64),
+                           tau=st.floats(0.8 if reply == "full" else 0.05, 0.95),
+                           eps=st.floats(0.05, 0.95), delta=st.floats(0.05, 0.95)))
         values = draw(st.lists(st.integers(0, (1 << p.n) - 1), min_size=1, max_size=50))
-        messages = [SampleRequest(p.k)]
-        messages += draw(st.lists(st.just(SampleBatch(p.n, values)), max_size=1))
-        outcome = draw(st.one_of(
-            st.builds(Accepted, st.integers(0, (1 << p.n) - 1)),
-            st.builds(Rejected, st.sampled_from(["BadBatch", "ValidationFailed",
-                                                 PROVER_ERROR]))))
-        # the reader requires the example counts verifier_run draws for the outcome
-        accepted = isinstance(outcome, Accepted)
-        drawn = accepted or outcome.reason == "ValidationFailed"
-        return Transcript(p, draw(st.integers(0, (1 << 64) - 1)), messages, outcome,
-                          kprime2_used=p.kprime2 if drawn else 0,
-                          kprime3_used=p.kprime3 if accepted else 0)
+        if reply == "full":
+            values = np.resize(np.array(values, dtype=np.uint64), p.k)
+        outcomes = {"none": st.sampled_from([Rejected(BAD_BATCH), Rejected(PROVER_ERROR)]),
+                    "short": st.just(Rejected(BAD_BATCH)),
+                    "full": st.one_of(st.just(Rejected(VALIDATION_FAILED)),
+                                      st.builds(Accepted, st.integers(0, (1 << p.n) - 1)))}
+        return Transcript(p, draw(st.integers(0, (1 << 64) - 1)),
+                          None if reply == "none" else SampleBatch(p.n, values),
+                          draw(outcomes[reply]))
     return build()
 
 
@@ -233,8 +233,7 @@ def test_transcript_round_trip(tmp_path_factory, t):
     write_transcript(t, path)
     back = read_transcript(path)
     assert back.params == t.params and back.seed == t.seed
-    assert back.messages == t.messages and back.outcome == t.outcome
-    assert (back.kprime2_used, back.kprime3_used) == (t.kprime2_used, t.kprime3_used)
+    assert back.reply == t.reply and back.outcome == t.outcome
 
 
 @pytest.mark.parametrize("outcome", ["01x1", "011", "01 1"])
@@ -274,6 +273,30 @@ def test_transcript_grammar_faults_name_their_line(tmp_path, body, lineno, reaso
     with pytest.raises(ParseError, match=reason) as err:
         read_transcript(path)
     assert err.value.lineno == lineno
+
+
+_FULL2 = "BATCH 13102\n" + "01\n" * 13_102  # k valid width-2 rows
+
+
+@pytest.mark.parametrize("reply,outcome", [
+    ("", "ACCEPT 01"),
+    ("", "REJECT ValidationFailed"),
+    ("BATCH 2\n01\n10\n", "REJECT ProverError"),
+    (_FULL2, "REJECT BadBatch"),
+    ("BATCH 2\n01\n10\n", "ACCEPT 01"),
+])
+def test_outcomes_the_reply_cannot_earn_are_refused(tmp_path, reply, outcome):
+    # each header carries the counts its outcome needs, so only the pairing of
+    # reply and outcome is wrong; replay of such a file would not give its outcome
+    p = VerifierParams(n=2, tau=0.5, eps=0.45, delta=0.2)
+    result = Accepted(0b01) if outcome == "ACCEPT 01" else Rejected(outcome.split()[1])
+    k2, k3 = examples_drawn(p, result)
+    path = tmp_path / "t.txt"
+    path.write_text(_PARAMS2.replace("kprime2=0 kprime3=0", f"kprime2={k2} kprime3={k3}")
+                    + "REQ 13102\n" + reply + f"OUTCOME {outcome}\n")
+    with pytest.raises(ParseError, match="cannot follow") as err:
+        read_transcript(path)
+    assert err.value.lineno == 3 + reply.count("\n")
 
 
 @pytest.mark.parametrize("key", ["n", "version"])

@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -91,6 +93,22 @@ def test_parallel_matches_serial():
     _, serial = run_experiment(cfg_serial)
     _, parallel = run_experiment(cfg_parallel)
     assert serial == parallel
+
+
+def test_zero_threads_means_the_cpus_this_process_may_use(monkeypatch):
+    # pinned to one CPU of a bigger machine, the trials run serially on the caller
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    ran_on = set()
+
+    def spy(*args):
+        ran_on.add(threading.get_ident())
+        return run_trial(*args)
+    monkeypatch.setattr(harness, "run_trial", spy)
+    cfg = ExperimentConfig.from_dict(base_config(trials=4))
+    assert cfg.threads == 0
+    _, records = run_experiment(cfg)
+    assert len(records) == 4 and ran_on == {threading.get_ident()}
 
 
 def test_summary_fraction_is_exact_mean():

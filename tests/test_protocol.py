@@ -170,11 +170,11 @@ def test_bad_batch_is_deterministic(tmp_path, and2_at16):
                    overflow_prover):
         outcome, transcript = verifier_run(p, and2_at16, prover, seed=123)
         assert outcome == Rejected(BAD_BATCH)
-        assert transcript.kprime2_used == 0 and transcript.kprime3_used == 0
         path = tmp_path / "transcript.txt"
         write_transcript(transcript, path)
+        assert path.read_text().split("\n", 1)[0].endswith(" kprime2=0 kprime3=0")
         back = read_transcript(path)
-        assert back.outcome == outcome and back.messages == transcript.messages
+        assert back.outcome == outcome and back.reply == transcript.reply
         assert replay_transcript(back, and2_at16) == outcome
 
 
@@ -190,7 +190,7 @@ def test_prover_exception_is_rejected(tmp_path, and2_at16):
     for prover in (raising_prover, string_prover):
         outcome, transcript = verifier_run(p, and2_at16, prover, seed=124)
         assert outcome == Rejected(PROVER_ERROR)
-        assert transcript.messages == [SampleRequest(p.k)]
+        assert transcript.reply is None
         path = tmp_path / "transcript.txt"
         write_transcript(transcript, path)
         back = read_transcript(path)
@@ -201,11 +201,14 @@ def test_prover_exception_is_rejected(tmp_path, and2_at16):
 def test_one_round_property(and2_at16):
     spec = and2_at16.spectrum()
     p = params16()
-    prover = honest_prover(spec, BitFlipNoise(0.02), np.random.default_rng(8))
-    _, transcript = verifier_run(p, and2_at16, prover, seed=55)
-    reqs = [m for m in transcript.messages if isinstance(m, SampleRequest)]
-    batches = [m for m in transcript.messages if isinstance(m, SampleBatch)]
-    assert len(reqs) == 1 and len(batches) <= 1
+    honest = honest_prover(spec, BitFlipNoise(0.02), np.random.default_rng(8))
+    requests = []
+
+    def prover(req):
+        requests.append(req)
+        return honest(req)
+    verifier_run(p, and2_at16, prover, seed=55)
+    assert requests == [SampleRequest(p.k)]
 
 
 def test_step2_separation_with_exact_coefficients():
@@ -295,7 +298,7 @@ def test_transcript_roundtrip_and_replay(tmp_path, and2_at16):
     assert back.params == p
     assert back.seed == 321
     assert back.outcome == outcome
-    assert back.messages == transcript.messages
+    assert back.reply == transcript.reply
     assert replay_transcript(back, and2_at16) == outcome
 
 
@@ -321,8 +324,17 @@ _PAIRS = [(0, 0), (_K2, 0), (_K2, _K3), (0, _K3), (1, 0), (_K2 + 1, 0), (_K2, _K
 def test_transcript_counts_must_fit_the_outcome(tmp_path, outcome, pair):
     p = params16()
     result = Accepted(0b101) if outcome == "accept" else Rejected(outcome)
+    # a run that ends in ACCEPT or ValidationFailed received a full k-row batch
+    full = outcome in ("accept", VALIDATION_FAILED)
+    reply = SampleBatch(16, np.zeros(p.k, dtype=np.uint64)) if full else None
     path = tmp_path / "t.txt"
-    write_transcript(Transcript(p, 5, [SampleRequest(p.k)], result, *pair), path)
+    write_transcript(Transcript(p, 5, reply, result), path)
+    header, rest = path.read_text().split("\n", 1)
+    k2, k3 = _COUNTS[outcome]
+    assert header.endswith(f" kprime2={k2} kprime3={k3}")  # the writer's counts
+    header = header.replace(f" kprime2={k2} kprime3={k3}",
+                            f" kprime2={pair[0]} kprime3={pair[1]}")
+    path.write_text(header + "\n" + rest)
     if pair == _COUNTS[outcome]:
         assert read_transcript(path).outcome == result
         return
@@ -343,5 +355,5 @@ def test_reader_ignores_the_retired_kprime1_field(tmp_path, and2_at16):
     lines[0] = lines[0].replace(" kprime2=", " kprime1=0 kprime2=")
     path.write_text("\n".join(lines) + "\n")
     back = read_transcript(path)
-    assert back.kprime2_used == transcript.kprime2_used
+    assert back.outcome == outcome and back.reply == transcript.reply
     assert replay_transcript(back, and2_at16) == outcome
