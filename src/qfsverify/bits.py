@@ -11,8 +11,15 @@ position. Consequences used throughout the package:
 The text form is one '0'/'1' row per value, rows separated by '\n':
 format_rows and parse_rows are the batch codec every reader and writer of
 the package goes through, and parse_rows reads the whole block of rows
-from the one string its caller already holds; format_table and
-parse_table carry a truth table as one '0'/'1' string.
+from the one string its caller already holds. The codec moves eight
+characters per uint64 word: format_rows looks up the 8 characters of each
+byte of the values in a 256-word table and stores each word into every
+row at once through a strided view of the output buffer; parse_rows
+checks the block's bytes flat, then reads each row's 8-character words
+through strided views and turns each into 8 bits with one multiply
+(``((x & 0x0101010101010101) * 0x8040201008040201) >> 56``). Only a block
+that fails the check is split into lines, to name the bad row.
+format_table and parse_table carry a truth table as one '0'/'1' string.
 """
 from __future__ import annotations
 
@@ -21,6 +28,12 @@ import re
 import numpy as np
 
 MAX_WIDTH = 64
+
+# the 8 '0'/'1' characters of each byte value, most significant bit first,
+# as one little-endian word: _CHARS[b] is the text of b in 8 bytes
+_CHARS = (np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1)
+          | ord("0")).view("<u8").ravel()
+_PAD = b"\n" + bytes(7)
 
 
 class CapacityError(ValueError):
@@ -79,30 +92,43 @@ def format_rows(values, n: int, labels=None) -> str:
     ``labels`` each row ends in a space and its 0/1 label."""
     n = check_width(n)
     words = _words(values, n)
-    big_endian = (words << np.uint64(64 - n)).astype(">u8").view(np.uint8)
-    bits = np.unpackbits(big_endian.reshape(-1, 8), axis=1, count=n)
-    tail = ""
-    if labels is not None:
-        bits, tail = np.column_stack([bits, _words(labels, 1).astype(np.uint8)]), " 1"
-    template = np.frombuffer(f"{'1' * n}{tail}\n".encode(), dtype=np.uint8)
-    rows = np.tile(template, (len(words), 1))
-    rows[:, template == ord("1")] = bits | ord("0")
-    return rows.tobytes()[:-1].decode("ascii")
+    k, tail = len(words), 0 if labels is None else 2
+    if tail:
+        labels = _words(labels, 1)
+        if len(labels) != k:
+            raise ValueError(f"{len(labels)} labels for {k} rows")
+    if k == 0:
+        return ""
+    w = n + tail + 1
+    buf = np.empty(k * w, dtype=np.uint8)
+    rows = buf.reshape(k, w)
+    if n < 8:  # narrower than a word: the first n characters of one
+        chars = _CHARS.take((words << np.uint64(8 - n)).astype(np.uint8))
+        rows[:, :n] = chars.view(np.uint8).reshape(k, 8)[:, :n]
+    else:  # words at 0, 8, 16, ... and one ending at the last bit, which
+        # writes the same characters where it overlaps the word before it
+        for o in {*range(0, n - 7, 8), n - 8}:
+            chars = _CHARS.take((words >> np.uint64(n - 8 - o)).astype(np.uint8))
+            np.ndarray((k,), "<u8", buffer=buf, offset=o, strides=(w,))[...] = chars
+    if tail:
+        rows[:, n] = ord(" ")
+        rows[:, n + 1] = labels | ord("0")
+    rows[:, n + tail] = ord("\n")
+    return str(memoryview(buf)[:-1], "ascii")
 
 
 def parse_rows(text: str) -> tuple[np.ndarray, int]:
     """Parse one text block of equal-width '0'/'1' rows, each row ended by
     '\n' except the last, into (uint64 values, width); a ragged or
     non-'0'/'1' row raises RowError naming its index."""
-    bits, n = _bit_rows(text, "")
-    return pack_rows(bits), n
+    values, _, n = _parse(text, labelled=False)
+    return values, n
 
 
 def parse_labelled_rows(text: str) -> tuple[np.ndarray, np.ndarray, int]:
     """Parse a block of "bits<space>label" rows into (uint64 values, uint8
     labels, width)."""
-    bits, n = _bit_rows(text, " 1")
-    return pack_rows(bits[:, :n]), bits[:, n], n
+    return _parse(text, labelled=True)
 
 
 def _words(values, n: int) -> np.ndarray:
@@ -115,26 +141,47 @@ def _words(values, n: int) -> np.ndarray:
     return words
 
 
-def _bit_rows(text: str, tail: str) -> tuple[np.ndarray, int]:
-    """The 0/1 matrix of the bit columns of the rows of ``text`` laid out as
-    n bits and ``tail`` (each '1' in it one more bit), with n read off the
-    first row."""
+def _parse(text: str, labelled: bool):
+    """(values, labels or None, n) of rows of n bits, each followed by a
+    space and a 0/1 label when ``labelled``, with n read off the first row."""
+    tail = 2 if labelled else 0
     first = text.find("\n")
-    n = (len(text) if first < 0 else first) - len(tail)
+    n = (len(text) if first < 0 else first) - tail
     if not 1 <= n <= MAX_WIDTH:
         raise RowError(0, f"width {n} is not in 1..{MAX_WIDTH}")
-    template = np.frombuffer(f"{'1' * n}{tail}\n".encode(), dtype=np.uint8)
-    is_bit = template == ord("1")
-    # a non-ASCII character becomes one '?' byte, so columns stay aligned
-    data = np.frombuffer((text + "\n").encode("ascii", "replace"), dtype=np.uint8)
-    if data.size % template.size == 0:
-        rows = data.reshape(-1, template.size)
-        if ((rows | is_bit) == template).all():  # c | 1 is "1" just for "0" and "1"
-            return rows[:, is_bit] & np.uint8(1), n
+    w = n + tail + 1
+    # a non-ASCII character becomes one '?' byte, so columns stay aligned;
+    # the 7 bytes after the last '\n' let the last row's words read past it
+    data = np.frombuffer(text.encode("ascii", "replace") + _PAD, dtype=np.uint8)
+    body = data[:len(text) + 1]
+    k = body.size // w
+    if not (body.size % w == 0 and (body[w - 1::w] == ord("\n")).all()
+            and (not labelled or (body[n::w] == ord(" ")).all())
+            # c | 1 is "1" just for "0" and "1"; the other columns are checked above
+            and np.count_nonzero((body | 1) == ord("1")) == k * (n + labelled)):
+        raise _row_error(text, n, labelled)
+    q = -(-n // 8)
+    values = np.zeros(k, dtype=np.uint64)
+    for j in range(q):  # characters 8j..8j+7 of every row, as 8 bits, first one highest
+        x = np.ndarray((k,), "<u8", buffer=data, offset=8 * j, strides=(w,))
+        x = x & np.uint64(0x0101010101010101)
+        x *= np.uint64(0x8040201008040201)
+        x >>= np.uint64(56)
+        values <<= np.uint64(8)
+        values |= x
+    # drop what the last word read past the row's last bit: '\n', the
+    # label, the next row or the padding
+    values >>= np.uint64(8 * q - n)
+    return values, body[n + 1::w] & np.uint8(1) if labelled else None, n
+
+
+def _row_error(text: str, n: int, labelled: bool) -> RowError:
+    """The RowError of the first row of ``text`` that is not n bits (and,
+    when ``labelled``, a space and a 0/1 label)."""
     lines = text.split("\n")
-    form = re.compile("[01]" * n + tail.replace("1", "[01]"))
+    form = re.compile("[01]" * n + " [01]" * labelled)
     row = next(i for i, line in enumerate(lines) if not form.fullmatch(line))
-    raise RowError(row, f"{lines[row]!r} is not {n} bits{' and a label' * bool(tail)}")
+    return RowError(row, f"{lines[row]!r} is not {n} bits{' and a label' * labelled}")
 
 
 def format_table(bits) -> str:
@@ -157,16 +204,6 @@ def popcount(arr: np.ndarray) -> np.ndarray:
 def parity(arr: np.ndarray) -> np.ndarray:
     """Parity of the popcount, as uint8 0/1."""
     return np.bitwise_count(arr) & np.uint8(1)
-
-
-def pack_rows(bits: np.ndarray) -> np.ndarray:
-    """Pack a (count, n) 0/1 matrix into uint64 values, column 0 = bit 1."""
-    count, n = bits.shape
-    check_width(n)
-    out = np.zeros(count, dtype=np.uint64)
-    for i in range(n):
-        out |= bits[:, i].astype(np.uint64) << np.uint64(n - 1 - i)
-    return out
 
 
 def random_words(rng: np.random.Generator, count: int, n: int) -> np.ndarray:

@@ -12,8 +12,8 @@ the dump reader that normalises every line before parsing; the dump
 readers of oracles must return what it returns, or raise its error.
 
 dense_flip_masks is the flip sampler that draws one uniform per bit (per
-pair, for block-flip); the masks of the channels' own flip_masks must
-follow its law. qfs_raw is one noise-free circuit shot, apply one channel
+pair, for block-flip), packed column by column with pack_rows; the masks
+of the channels' own flip_masks must follow its law. qfs_raw is one noise-free circuit shot, apply one channel
 use on one string through dense_flip_masks, and qfs_sample_noisy one
 shot-by-shot draw from the noisy conditional law, with its own physical
 depolarizing loop; the draws of oracles.sample_batch must follow the same
@@ -25,8 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from qfsverify.bits import (RowError, check_value, check_width, fits_rows, pack_rows,
-                            popcount)
+from qfsverify.bits import RowError, check_value, check_width, fits_rows, popcount
 from qfsverify.boolfn import FourierSpectrum
 from qfsverify.noise import BlockFlipNoise, DepolarizingNoise, NoiseChannel
 from qfsverify.oracles import SAFETY_STOP, P0Sampler
@@ -37,6 +36,16 @@ _MATCH_CHUNK = 1 << 16
 
 def hamming(a: int, b: int) -> int:
     return (a ^ b).bit_count()
+
+
+def pack_rows(bits: np.ndarray) -> np.ndarray:
+    """Pack a (count, n) 0/1 matrix into uint64 values, column 0 = bit 1."""
+    count, n = bits.shape
+    check_width(n)
+    out = np.zeros(count, dtype=np.uint64)
+    for i in range(n):
+        out |= bits[:, i].astype(np.uint64) << np.uint64(n - 1 - i)
+    return out
 
 
 def nearest_match(t_prefix: int, candidates, rng: np.random.Generator) -> int:

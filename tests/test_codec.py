@@ -131,6 +131,34 @@ def test_bad_labels_are_rejected_at_their_row(batch, data):
     assert err.value.row == bad
 
 
+@pytest.mark.parametrize("n", range(1, 65))
+def test_an_empty_batch_formats_as_no_text(n):
+    assert format_rows([], n) == ""
+    assert format_rows(np.zeros(0, dtype=np.uint64), n, labels=[]) == ""
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 15, 16, 17, 31, 33, 63, 64])
+@pytest.mark.parametrize("labelled", [False, True])
+def test_every_byte_in_every_word_of_a_row_round_trips(n, labelled):
+    # row i repeats the 8 bits of i, so every 8-character word of a row, at
+    # any offset, takes all 256 values (all 2**n below 8 bits) over the
+    # batch; an all-'1' row with a '1' label follows each one, so whatever
+    # a word reads past a row's last bit is ones
+    patterns = [int((format(i, "08b") * 8)[:n], 2) for i in range(256)]
+    values = np.array([v for p in patterns for v in (p, (1 << n) - 1)], dtype=np.uint64)
+    labels = np.ones(len(values), dtype=np.uint8) if labelled else None
+    text = format_rows(values, n, labels=labels)
+    tail = " 1" if labelled else ""
+    assert text.split("\n") == [format(int(v), f"0{n}b") + tail for v in values]
+    if labelled:
+        back, back_labels, width = parse_labelled_rows(text)
+        assert np.array_equal(back_labels, labels)
+    else:
+        back, width = parse_rows(text)
+    assert width == n and back.dtype == np.uint64
+    assert np.array_equal(back, values)
+
+
 def test_codec_rejects_values_and_widths_it_cannot_carry():
     for values, n in (([1 << 20], 16), ([-1], 8), ([1.5], 3), ([[1]], 3)):
         with pytest.raises(ValueError):
