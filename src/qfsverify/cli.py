@@ -79,7 +79,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--trials", type=int)
     p.add_argument("--out")
-    p.add_argument("--threads", type=int)
+    p.add_argument("--threads", type=int,
+                   help="worker count kept for a future process pool (0: one per "
+                        "usable CPU); trials run in the calling thread")
 
     sub.add_parser("selftest", help="run the deterministic oracle suites")
     return parser

@@ -1,16 +1,15 @@
 """Seeded Monte Carlo experiment runner.
 
 Every trial derives its own 64-bit seed from the master seed with a
-SplitMix64 mix, so trial outcomes are independent of execution order and
-parallel runs reproduce serial ones record for record.
+SplitMix64 mix, so trial outcomes are independent of execution order.
+Trials run one after another in the calling thread: each is GIL-bound
+NumPy glue, so a second thread only slows them down.
 """
 from __future__ import annotations
 
 import json
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -63,6 +62,8 @@ class ExperimentConfig:
     adversary: str | None = None
     function_file: str | None = None
     out: str | None = None
+    # worker count for a future process pool (0: one per usable CPU);
+    # it selects nothing yet, trials run in the calling thread
     threads: int = 0
 
     def validate(self) -> None:
@@ -196,7 +197,8 @@ def run_trial(cfg: ExperimentConfig, index: int,
 
 
 def run_experiment(cfg: ExperimentConfig) -> tuple[Summary, list[TrialRecord]]:
-    """Run all trials (parallelizable), persist records, return the summary.
+    """Run all trials in the calling thread, in index order; persist the
+    records and return the summary.
 
     For verify-sound configs the reported fraction counts wrong accepts;
     every other mode counts its success criterion.
@@ -209,14 +211,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[Summary, list[TrialRecord]]:
     if fixed is not None and len(fixed.spectrum().entries) < need:
         raise ValueError(f"function: {cfg.adversary} needs a target with at least "
                          f"{need} support strings")
-    workers = cfg.threads or (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                              else os.cpu_count() or 1)  # 0: the CPUs this process may use
-    if workers == 1:
-        records = [run_trial(cfg, i, fixed) for i in range(cfg.trials)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(lambda i: run_trial(cfg, i, fixed),
-                                    range(cfg.trials)))
+    records = [run_trial(cfg, i, fixed) for i in range(cfg.trials)]
     successes = sum(r.success for r in records)
     low, high = wilson_interval(successes, cfg.trials)
     summary = Summary(trials=cfg.trials, successes=successes,

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import format_bits, parity
+from .bits import parity
 from .boolfn import FourierSpectrum
 from .noise import NoiseChannel
 from .oracles import ExampleBatch, draw_examples, sample_batch
@@ -61,10 +61,6 @@ class SparseEstimate:
         """l-infinity distance to a reference spectrum over all strings."""
         keys = set(self.entries) | {int(s) for s in spec.support}
         return max(abs(self.coeff(s) - spec.coeff(s)) for s in keys)
-
-    def to_records(self, n: int) -> list[dict]:
-        return [{"s": format_bits(s, n), "gtilde": v}
-                for s, v in sorted(self.entries.items())]
 
 
 def sparse_estimate(spec: FourierSpectrum, channel: NoiseChannel, eps: float,

@@ -112,13 +112,18 @@ def test_verify_adversary_rejects(tmp_path, capsys, and2_at16):
     assert json.loads(capsys.readouterr().out) == _REJECTED
 
 
-def test_experiment_command(tmp_path, capsys):
+def experiment_config(tmp_path, trials):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
         "mode": "rectify", "n": 16, "j": 2, "tau": 0.5, "eps": 0.45,
         "delta": 0.1, "noise": {"model": "bitflip", "eta": 0.02},
-        "trials": 3, "seed": 11,
+        "trials": trials, "seed": 11,
     }))
+    return config
+
+
+def test_experiment_command(tmp_path, capsys):
+    config = experiment_config(tmp_path, 3)
     out = tmp_path / "records.jsonl"
     assert run_cli("experiment", "--config", config, "--out", out,
                    "--threads", 1) == 0
@@ -127,13 +132,19 @@ def test_experiment_command(tmp_path, capsys):
     assert len(out.read_text().splitlines()) == 4
 
 
+def test_experiment_threads_select_nothing(tmp_path, capsys):
+    config = experiment_config(tmp_path, 3)
+    summaries = []
+    for threads in (1, 3):
+        assert run_cli("experiment", "--config", config, "--threads", threads) == 0
+        summary = json.loads(capsys.readouterr().out)
+        del summary["mean_ms"]
+        summaries.append(summary)
+    assert summaries[0] == summaries[1]
+
+
 def test_experiment_rejects_zero_trials(tmp_path, capsys):
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({
-        "mode": "rectify", "n": 16, "j": 2, "tau": 0.5, "eps": 0.45,
-        "delta": 0.1, "noise": {"model": "bitflip", "eta": 0.02},
-        "trials": 0, "seed": 11,
-    }))
+    config = experiment_config(tmp_path, 0)
     assert run_cli("experiment", "--config", config) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "trials" in err

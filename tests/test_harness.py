@@ -1,6 +1,5 @@
 import dataclasses
 import json
-import os
 import threading
 
 import numpy as np
@@ -95,20 +94,18 @@ def test_parallel_matches_serial():
     assert serial == parallel
 
 
-def test_zero_threads_means_the_cpus_this_process_may_use(monkeypatch):
-    # pinned to one CPU of a bigger machine, the trials run serially on the caller
-    monkeypatch.setattr(os, "cpu_count", lambda: 8)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+@pytest.mark.parametrize("threads", [0, 1, 4])
+def test_trials_run_on_the_calling_thread(monkeypatch, threads):
     ran_on = set()
 
     def spy(*args):
         ran_on.add(threading.get_ident())
         return run_trial(*args)
     monkeypatch.setattr(harness, "run_trial", spy)
-    cfg = ExperimentConfig.from_dict(base_config(trials=4))
-    assert cfg.threads == 0
+    cfg = ExperimentConfig.from_dict(base_config(trials=4, threads=threads))
     _, records = run_experiment(cfg)
-    assert len(records) == 4 and ran_on == {threading.get_ident()}
+    assert ran_on == {threading.get_ident()}
+    assert [r.index for r in records] == list(range(4))
 
 
 def test_summary_fraction_is_exact_mean():

@@ -161,12 +161,3 @@ def test_regret_uses_zero_outside_full_support():
     spec = FourierSpectrum(3, {0b101: -1.0})
     assert regret(spec, 0b000) == 0.0
     assert regret(spec, 0b101) == 0.5
-
-
-def test_sparse_estimate_export_records(and2_at16):
-    spec = and2_at16.spectrum()
-    est = sparse_estimate(spec, BitFlipNoise(0.02), 0.45, 0.1,
-                          np.random.default_rng(20))
-    records = est.to_records(16)
-    assert len(records) == len(est.entries)
-    assert all(set(r) == {"s", "gtilde"} and len(r["s"]) == 16 for r in records)
