@@ -9,8 +9,7 @@ import ctypes
 
 from .bits import CapacityError, format_bits, parse_bits
 from .boolfn import (BooleanFunction, FourierSpectrum, GenerationError,
-                     coeff_bruteforce, gen_ftau, read_function, read_spectrum,
-                     write_function, write_spectrum)
+                     coeff_bruteforce, gen_ftau, read_function, write_function)
 from .harness import ExperimentConfig, TrialRecord, derive_seed, run_experiment, wilson_interval
 from .noise import (BitFlipNoise, BlockFlipNoise, DepolarizingNoise,
                     analytic_noisy_dist, eta_eff, make_channel, p0_eff)

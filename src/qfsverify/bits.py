@@ -87,19 +87,14 @@ def fits_rows(values, n) -> bool:
             and not int(values.max()) >> int(n))
 
 
-def format_rows(values, n: int, labels=None) -> str:
-    """The values as width-n '0'/'1' rows joined by newlines; with
-    ``labels`` each row ends in a space and its 0/1 label."""
+def format_rows(values, n: int) -> str:
+    """The values as width-n '0'/'1' rows joined by newlines."""
     n = check_width(n)
     words = _words(values, n)
-    k, tail = len(words), 0 if labels is None else 2
-    if tail:
-        labels = _words(labels, 1)
-        if len(labels) != k:
-            raise ValueError(f"{len(labels)} labels for {k} rows")
+    k = len(words)
     if k == 0:
         return ""
-    w = n + tail + 1
+    w = n + 1
     buf = np.empty(k * w, dtype=np.uint8)
     rows = buf.reshape(k, w)
     if n < 8:  # narrower than a word: the first n characters of one
@@ -110,25 +105,42 @@ def format_rows(values, n: int, labels=None) -> str:
         for o in {*range(0, n - 7, 8), n - 8}:
             chars = _CHARS.take((words >> np.uint64(n - 8 - o)).astype(np.uint8))
             np.ndarray((k,), "<u8", buffer=buf, offset=o, strides=(w,))[...] = chars
-    if tail:
-        rows[:, n] = ord(" ")
-        rows[:, n + 1] = labels | ord("0")
-    rows[:, n + tail] = ord("\n")
+    rows[:, n] = ord("\n")
     return str(memoryview(buf)[:-1], "ascii")
 
 
 def parse_rows(text: str) -> tuple[np.ndarray, int]:
     """Parse one text block of equal-width '0'/'1' rows, each row ended by
-    '\n' except the last, into (uint64 values, width); a ragged or
-    non-'0'/'1' row raises RowError naming its index."""
-    values, _, n = _parse(text, labelled=False)
+    '\n' except the last, into (uint64 values, width), with the width read
+    off the first row; a ragged or non-'0'/'1' row raises RowError naming
+    its index."""
+    first = text.find("\n")
+    n = len(text) if first < 0 else first
+    if not 1 <= n <= MAX_WIDTH:
+        raise RowError(0, f"width {n} is not in 1..{MAX_WIDTH}")
+    w = n + 1
+    # a non-ASCII character becomes one '?' byte, so columns stay aligned;
+    # the 7 bytes after the last '\n' let the last row's words read past it
+    data = np.frombuffer(text.encode("ascii", "replace") + _PAD, dtype=np.uint8)
+    body = data[:len(text) + 1]
+    k = body.size // w
+    if not (body.size % w == 0 and (body[n::w] == ord("\n")).all()
+            # c | 1 is "1" just for "0" and "1"; the '\n' column is checked above
+            and np.count_nonzero((body | 1) == ord("1")) == k * n):
+        raise _row_error(text, n)
+    q = -(-n // 8)
+    values = np.zeros(k, dtype=np.uint64)
+    for j in range(q):  # characters 8j..8j+7 of every row, as 8 bits, first one highest
+        x = np.ndarray((k,), "<u8", buffer=data, offset=8 * j, strides=(w,))
+        x = x & np.uint64(0x0101010101010101)
+        x *= np.uint64(0x8040201008040201)
+        x >>= np.uint64(56)
+        values <<= np.uint64(8)
+        values |= x
+    # drop what the last word read past the row's last bit: '\n', the next
+    # row or the padding
+    values >>= np.uint64(8 * q - n)
     return values, n
-
-
-def parse_labelled_rows(text: str) -> tuple[np.ndarray, np.ndarray, int]:
-    """Parse a block of "bits<space>label" rows into (uint64 values, uint8
-    labels, width)."""
-    return _parse(text, labelled=True)
 
 
 def _words(values, n: int) -> np.ndarray:
@@ -141,47 +153,12 @@ def _words(values, n: int) -> np.ndarray:
     return words
 
 
-def _parse(text: str, labelled: bool):
-    """(values, labels or None, n) of rows of n bits, each followed by a
-    space and a 0/1 label when ``labelled``, with n read off the first row."""
-    tail = 2 if labelled else 0
-    first = text.find("\n")
-    n = (len(text) if first < 0 else first) - tail
-    if not 1 <= n <= MAX_WIDTH:
-        raise RowError(0, f"width {n} is not in 1..{MAX_WIDTH}")
-    w = n + tail + 1
-    # a non-ASCII character becomes one '?' byte, so columns stay aligned;
-    # the 7 bytes after the last '\n' let the last row's words read past it
-    data = np.frombuffer(text.encode("ascii", "replace") + _PAD, dtype=np.uint8)
-    body = data[:len(text) + 1]
-    k = body.size // w
-    if not (body.size % w == 0 and (body[w - 1::w] == ord("\n")).all()
-            and (not labelled or (body[n::w] == ord(" ")).all())
-            # c | 1 is "1" just for "0" and "1"; the other columns are checked above
-            and np.count_nonzero((body | 1) == ord("1")) == k * (n + labelled)):
-        raise _row_error(text, n, labelled)
-    q = -(-n // 8)
-    values = np.zeros(k, dtype=np.uint64)
-    for j in range(q):  # characters 8j..8j+7 of every row, as 8 bits, first one highest
-        x = np.ndarray((k,), "<u8", buffer=data, offset=8 * j, strides=(w,))
-        x = x & np.uint64(0x0101010101010101)
-        x *= np.uint64(0x8040201008040201)
-        x >>= np.uint64(56)
-        values <<= np.uint64(8)
-        values |= x
-    # drop what the last word read past the row's last bit: '\n', the
-    # label, the next row or the padding
-    values >>= np.uint64(8 * q - n)
-    return values, body[n + 1::w] & np.uint8(1) if labelled else None, n
-
-
-def _row_error(text: str, n: int, labelled: bool) -> RowError:
-    """The RowError of the first row of ``text`` that is not n bits (and,
-    when ``labelled``, a space and a 0/1 label)."""
+def _row_error(text: str, n: int) -> RowError:
+    """The RowError of the first row of ``text`` that is not n bits."""
     lines = text.split("\n")
-    form = re.compile("[01]" * n + " [01]" * labelled)
+    form = re.compile("[01]" * n)
     row = next(i for i, line in enumerate(lines) if not form.fullmatch(line))
-    return RowError(row, f"{lines[row]!r} is not {n} bits{' and a label' * labelled}")
+    return RowError(row, f"{lines[row]!r} is not {n} bits")
 
 
 def format_table(bits) -> str:

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bits import (CapacityError, RowError, check_value, check_width, format_bits,
-                   format_table, parity, parse_rows, parse_table)
+from .bits import (CapacityError, check_value, check_width, format_table, parity,
+                   parse_table)
 
 DENSE_WIDTH_CAP = 24
 BRUTEFORCE_WIDTH_CAP = 16
@@ -228,33 +228,6 @@ class FourierSpectrum:
         for s, c in zip(self._support, self._coeffs):
             g += c * (1.0 - 2.0 * parity(xs & s))
         return (g < 0.0).astype(np.uint8)
-
-    def to_records(self) -> list[dict]:
-        return [{"s": format_bits(int(s), self.n), "coeff": float(c)}
-                for s, c in zip(self._support, self._coeffs)]
-
-
-def write_spectrum(spec: FourierSpectrum, path) -> None:
-    with open(path, "w") as fh:
-        for rec in spec.to_records():
-            fh.write(json.dumps(rec) + "\n")
-
-
-def read_spectrum(path) -> FourierSpectrum:
-    with open(path) as fh:
-        records = [json.loads(line) for line in fh]
-    if not records:
-        raise ValueError("empty spectrum file")
-    text = "\n".join(rec["s"] for rec in records)
-    if text.count("\n") >= len(records):  # rows would not line up with records
-        line = next(i for i, rec in enumerate(records, 1) if "\n" in rec["s"])
-        raise ValueError(f"line {line}: 's' holds a newline")
-    try:
-        support, n = parse_rows(text)
-    except RowError as exc:
-        raise ValueError(f"line {exc.row + 1}: {exc.reason}") from None
-    return FourierSpectrum(n, dict(zip(support.tolist(),
-                                       (float(rec["coeff"]) for rec in records))))
 
 
 def coeff_bruteforce(f: BooleanFunction, s: int) -> float:

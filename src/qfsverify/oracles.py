@@ -11,8 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import (RowError, format_rows, parse_labelled_rows, parse_rows,
-                   random_words)
+from .bits import RowError, format_rows, parse_rows, random_words
 from .boolfn import FourierSpectrum
 from .noise import DepolarizingNoise, NoiseChannel
 
@@ -101,44 +100,27 @@ def _physical_batch(sampler: P0Sampler, channel: DepolarizingNoise, count: int,
 
 def write_samples(samples: np.ndarray, n: int, path) -> None:
     """One '0'/'1' string of length n per line."""
-    _write_rows(path, format_rows(samples, n))
-
-
-def read_samples(path) -> tuple[np.ndarray, int]:
-    return _read_rows(path, "sample", parse_rows)
-
-
-def write_examples(batch: ExampleBatch, path) -> None:
-    """One "x-string<space>bit" record per line."""
-    _write_rows(path, format_rows(batch.xs, batch.n, labels=batch.fxs))
-
-
-def read_examples(path) -> ExampleBatch:
-    xs, fxs, n = _read_rows(path, "example", parse_labelled_rows)
-    return ExampleBatch(n, xs, fxs)
-
-
-def _write_rows(path, text: str) -> None:
+    text = format_rows(samples, n)
     with open(path, "w") as fh:
         fh.write(text + "\n" if text else "")
 
 
-def _read_rows(path, kind: str, parse):
-    """``parse`` of a dump's rows. A dump as the writers write it parses
-    whole; any other is read as its nonblank lines, each with its
+def read_samples(path) -> tuple[np.ndarray, int]:
+    """(values, n) of a sample dump. A dump as write_samples writes it
+    parses whole; any other is read as its nonblank lines, each with its
     whitespace runs collapsed to one space, and a fault names its line
     number. Collapsing changes no line of a dump that parses whole."""
     with open(path) as fh:
         text = fh.read()
     try:
-        return parse(text.removesuffix("\n"))
+        return parse_rows(text.removesuffix("\n"))
     except RowError:
         pass
     rows = [" ".join(line.split()) for line in text.split("\n")]
     linenos = [i for i, row in enumerate(rows, 1) if row]
     if not linenos:
-        raise ValueError(f"{kind} file is empty")
+        raise ValueError("sample file is empty")
     try:
-        return parse("\n".join(rows[i - 1] for i in linenos))
+        return parse_rows("\n".join(rows[i - 1] for i in linenos))
     except RowError as exc:
         raise ValueError(f"line {linenos[exc.row]}: {exc.reason}") from None

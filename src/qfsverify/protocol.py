@@ -20,7 +20,7 @@ from .bits import (RowError, check_width, fits_rows, format_bits, format_rows,
 from .boolfn import BooleanFunction, FourierSpectrum, gen_ftau
 from .noise import NoiseChannel
 from .oracles import draw_examples, sample_batch
-from .rectify import rectify, required_samples
+from .rectify import list_cap, rectify, required_samples
 from .spectral import argmax_estimate, estimate_coeffs, examples_needed, regret
 
 BAD_BATCH = "BadBatch"
@@ -33,8 +33,6 @@ REJECT_REASONS = (BAD_BATCH, VALIDATION_FAILED, PROVER_ERROR)
 TRANSCRIPT_VERSION = 2
 
 HONEST = "honest"
-# adversary kind -> fewest support strings its target must have (omit drops one)
-ADVERSARY_KINDS = {"uniform": 1, "wrongfunction": 1, "omit": 2, "constant": 1}
 
 
 class ParseError(ValueError):
@@ -65,7 +63,7 @@ class VerifierParams:
 
     @property
     def cap(self) -> int:
-        return math.floor(2.0 / self.theta)
+        return list_cap(self.theta)
 
     @property
     def k(self) -> int:
@@ -223,6 +221,21 @@ def honest_prover(spec: FourierSpectrum, channel: NoiseChannel,
     return respond
 
 
+# adversary kind -> (fewest support strings its target must have, builder of
+# its responder from spec, channel, rng, j, tau); omit drops one string
+_ADVERSARIES = {
+    "uniform": (1, lambda spec, channel, rng, j, tau: lambda req: SampleBatch(
+        spec.n, random_words(rng, req.count, spec.n))),
+    "wrongfunction": (1, lambda spec, channel, rng, j, tau: honest_prover(
+        gen_ftau(spec.n, j, tau, rng).spectrum(), channel, rng)),
+    "omit": (2, lambda spec, channel, rng, j, tau: honest_prover(
+        _omit_heaviest(spec), channel, rng)),
+    "constant": (1, lambda spec, channel, rng, j, tau: lambda req: SampleBatch(
+        spec.n, np.zeros(req.count, dtype=np.uint64))),
+}
+ADVERSARY_KINDS = {kind: need for kind, (need, _) in _ADVERSARIES.items()}
+
+
 def make_prover(kind: str, spec: FourierSpectrum, channel: NoiseChannel,
                 rng: np.random.Generator, *, j: int, tau: float):
     """Responder of one prover kind against the target spectrum ``spec``.
@@ -233,19 +246,12 @@ def make_prover(kind: str, spec: FourierSpectrum, channel: NoiseChannel,
     for ``spec`` with its largest-p0 string removed and the remaining p0
     renormalised; constant: all zeros. Only wrongfunction reads j and tau.
     """
-    n = spec.n
     if kind == HONEST:
         return honest_prover(spec, channel, rng)
-    if kind == "uniform":
-        return lambda req: SampleBatch(n, random_words(rng, req.count, n))
-    if kind == "wrongfunction":
-        return honest_prover(gen_ftau(n, j, tau, rng).spectrum(), channel, rng)
-    if kind == "omit":
-        return honest_prover(_omit_heaviest(spec), channel, rng)
-    if kind == "constant":
-        return lambda req: SampleBatch(n, np.zeros(req.count, dtype=np.uint64))
-    raise ValueError(f"unknown prover kind {kind!r}; expected {HONEST!r} "
-                     f"or one of {tuple(ADVERSARY_KINDS)}")
+    if kind not in _ADVERSARIES:
+        raise ValueError(f"unknown prover kind {kind!r}; expected {HONEST!r} "
+                         f"or one of {tuple(ADVERSARY_KINDS)}")
+    return _ADVERSARIES[kind][1](spec, channel, rng, j, tau)
 
 
 def _omit_heaviest(spec: FourierSpectrum) -> FourierSpectrum:
@@ -284,7 +290,11 @@ def verifier_run(params: VerifierParams, f: BooleanFunction, prover,
     bit-exactly against its recorded batch. The target function is used
     through the random example oracle only. A prover that raises is
     rejected with ProverError; any other reply goes through check_reply.
+    A function of another width than ``params.n`` raises ValueError
+    before the prover is called.
     """
+    if f.n != params.n:
+        raise ValueError(f"function width {f.n} != verifier width n = {params.n}")
     rng = np.random.default_rng(seed)
     try:
         reply = prover(SampleRequest(params.k))

@@ -105,7 +105,8 @@ def rectify(samples, n: int, theta: float, rng: np.random.Generator) -> list[int
         group = prefixes[runs[:-1]]  # the distinct m-bit prefixes, ascending
         size = np.diff(edge[runs])  # samples per group
         bit = (group & 1).astype(np.intp)
-        word = np.min_scalar_type((1 << (m - 1)) - 1)  # the narrowest type of parents
+        # the parents' m - 1 bits; not uint16, whose np.bitwise_count is not vectorised
+        word = np.uint8 if m <= 9 else np.uint32 if m <= 33 else np.uint64
         # d(c·b, q) = d(c, q >> 1) + [b != last bit of q]
         dist = popcount(level[:, None].astype(word) ^ (group >> 1).astype(word))
         near = dist == dist.min(axis=0)

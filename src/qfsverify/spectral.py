@@ -50,17 +50,11 @@ class SparseEstimate:
 
     entries: dict[int, float]
     eps: float
-    support_source: list[int]
     qfs_samples: int
     examples_used: int
 
     def coeff(self, s: int) -> float:
         return self.entries.get(int(s), 0.0)
-
-    def max_error(self, spec: FourierSpectrum) -> float:
-        """l-infinity distance to a reference spectrum over all strings."""
-        keys = set(self.entries) | {int(s) for s in spec.support}
-        return max(abs(self.coeff(s) - spec.coeff(s)) for s in keys)
 
 
 def sparse_estimate(spec: FourierSpectrum, channel: NoiseChannel, eps: float,
@@ -86,8 +80,7 @@ def sparse_estimate(spec: FourierSpectrum, channel: NoiseChannel, eps: float,
     kprime = examples_needed(len(support), eps, delta / 4.0)
     ex = draw_examples(spec, kprime, rng)
     return SparseEstimate(entries=estimate_coeffs(support, ex), eps=eps,
-                          support_source=support, qfs_samples=k,
-                          examples_used=kprime)
+                          qfs_samples=k, examples_used=kprime)
 
 
 def argmax_estimate(entries: dict[int, float]) -> int:

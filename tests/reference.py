@@ -8,8 +8,8 @@ and draws one integer below its number of nearest candidates for each
 tied row, chunk by chunk. rectify.rectify, which matches distinct
 prefixes against the surviving parents, must return the same list as
 both and leave the generator in the same state. read_rows_per_line is
-the dump reader that normalises every line before parsing; the dump
-readers of oracles must return what it returns, or raise its error.
+the dump reader that normalises every line before parsing;
+oracles.read_samples must return what it returns, or raise its error.
 
 dense_flip_masks is the flip sampler that draws one uniform per bit (per
 pair, for block-flip), packed column by column with pack_rows; the masks
@@ -25,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from qfsverify.bits import RowError, check_value, check_width, fits_rows, popcount
+from qfsverify.bits import (RowError, check_value, check_width, fits_rows, parse_rows,
+                            popcount)
 from qfsverify.boolfn import FourierSpectrum
 from qfsverify.noise import BlockFlipNoise, DepolarizingNoise, NoiseChannel
 from qfsverify.oracles import SAFETY_STOP, P0Sampler
@@ -114,16 +115,16 @@ def rectify_loop(samples, n: int, theta: float, rng: np.random.Generator) -> lis
     return level
 
 
-def read_rows_per_line(path, kind: str, parse):
-    """``parse`` of a dump's nonblank lines, each with its whitespace runs
+def read_rows_per_line(path):
+    """parse_rows of a dump's nonblank lines, each with its whitespace runs
     collapsed to one space; a fault names its line number."""
     with open(path) as fh:
         rows = [" ".join(line.split()) for line in fh]
     linenos = [i for i, row in enumerate(rows, 1) if row]
     if not linenos:
-        raise ValueError(f"{kind} file is empty")
+        raise ValueError("sample file is empty")
     try:
-        return parse("\n".join(rows[i - 1] for i in linenos))
+        return parse_rows("\n".join(rows[i - 1] for i in linenos))
     except RowError as exc:
         raise ValueError(f"line {linenos[exc.row]}: {exc.reason}") from None
 

@@ -4,7 +4,7 @@ import pytest
 from qfsverify.bits import CapacityError, format_bits, parse_bits
 from qfsverify.boolfn import (BooleanFunction, FourierSpectrum, GenerationError,
                               coeff_bruteforce, fwht, gen_ftau, read_function,
-                              read_spectrum, write_function, write_spectrum)
+                              write_function)
 from reference import hamming
 
 # Brute-force AND2 spectrum, computed by summing g(x) * chi_s(x) over all
@@ -229,16 +229,6 @@ def test_spectrum_eval_matches_function():
     junta = gen_ftau(20, 3, 0.25, rng)
     xs = rng.integers(0, 1 << 20, size=1000, dtype=np.uint64)
     assert np.array_equal(junta.spectrum().eval_many(xs), junta.eval_many(xs))
-
-
-def test_spectrum_file_roundtrip(tmp_path, and2_at16):
-    spec = and2_at16.spectrum()
-    path = tmp_path / "spectrum.jsonl"
-    write_spectrum(spec, path)
-    back = read_spectrum(path)
-    assert back.n == 16 and back.entries == spec.entries
-    records = spec.to_records()
-    assert all(set(r) == {"s", "coeff"} and len(r["s"]) == 16 for r in records)
 
 
 def test_dense_width_cap():

@@ -90,6 +90,25 @@ def test_replay_refuses_an_unversioned_transcript(tmp_path, capsys, and2_at16):
                             "field); this reader reads version 2 only\n")
 
 
+def test_replay_against_a_function_of_another_width_names_both(tmp_path, capsys,
+                                                               and2_at16):
+    # an honest n = 16 transcript replayed against an n = 12 function is a
+    # usage error, not a forged transcript
+    fn = tmp_path / "and2.fn"
+    write_function(and2_at16, fn)
+    transcript = tmp_path / "transcript.txt"
+    assert run_cli("verify", "--function", fn, "--tau", 0.5, "--eps", 0.45,
+                   "--delta", 0.2, "--model", "bitflip", "--eta", 0.025,
+                   "--seed", 3, "--out", transcript) == 0
+    capsys.readouterr()
+    f12 = tmp_path / "f12.fn"
+    write_function(BooleanFunction.junta(12, (3, 5), [0, 0, 0, 1]), f12)
+    assert run_cli("verify", "--function", f12, "--replay", transcript) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: function width 12 != verifier width n = 16\n"
+
+
 def test_replay_refuses_an_outcome_the_reply_cannot_earn(tmp_path, capsys):
     # no BATCH was recorded, so no verifier run could have accepted
     fn = tmp_path / "x1.fn"

@@ -8,14 +8,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qfsverify.bits import (RowError, format_rows, format_table, parse_bits,
-                            parse_labelled_rows, parse_rows, parse_table,
-                            random_words)
-from qfsverify.boolfn import (BooleanFunction, gen_ftau, read_function,
-                              read_spectrum, write_function)
+                            parse_rows, parse_table, random_words)
+from qfsverify.boolfn import BooleanFunction, gen_ftau, read_function, write_function
 from qfsverify.cli import main
 from qfsverify.noise import BitFlipNoise
-from qfsverify.oracles import (draw_examples, read_examples, read_samples,
-                               sample_batch, write_examples, write_samples)
+from qfsverify.oracles import read_samples, sample_batch, write_samples
 from qfsverify.protocol import (BAD_BATCH, PROVER_ERROR, VALIDATION_FAILED, Accepted,
                                 ParseError, Rejected, SampleBatch, Transcript,
                                 VerifierParams, deserialize, examples_drawn,
@@ -49,20 +46,6 @@ def test_rows_round_trip_against_the_scalar_oracle(batch):
     back, width = parse_rows(text)
     assert width == n and back.dtype == np.uint64
     assert np.array_equal(back, values)
-
-
-@relaxed
-@given(batches(), st.data())
-def test_labelled_rows_round_trip(batch, data):
-    n, values = batch
-    labels = np.array(data.draw(st.lists(st.integers(0, 1), min_size=len(values),
-                                         max_size=len(values))), dtype=np.uint8)
-    text = format_rows(values, n, labels=labels)
-    assert text.split("\n") == [f"{row} {label}" for row, label
-                                in zip(oracle_rows(values, n), labels)]
-    back, back_labels, width = parse_labelled_rows(text)
-    assert width == n and np.array_equal(back, values)
-    assert np.array_equal(back_labels, labels)
 
 
 # one-character mutations of a row: a substituted non-bit character,
@@ -119,42 +102,23 @@ def test_non_ascii_rows_are_rejected_at_their_row(batch, data):
     assert err.value.row == bad
 
 
-@relaxed
-@given(batches(max_count=20), st.data())
-def test_bad_labels_are_rejected_at_their_row(batch, data):
-    n, values = batch
-    rows = [f"{row} 1" for row in oracle_rows(values, n)]
-    bad = data.draw(st.integers(0, len(rows) - 1))
-    rows[bad] = rows[bad][:-2] + data.draw(st.sampled_from(["  1", " 2", "\t1", " 10", " "]))
-    with pytest.raises(RowError) as err:
-        parse_labelled_rows("\n".join(rows))
-    assert err.value.row == bad
-
-
 @pytest.mark.parametrize("n", range(1, 65))
 def test_an_empty_batch_formats_as_no_text(n):
     assert format_rows([], n) == ""
-    assert format_rows(np.zeros(0, dtype=np.uint64), n, labels=[]) == ""
+    assert format_rows(np.zeros(0, dtype=np.uint64), n) == ""
 
 
 @pytest.mark.parametrize("n", [1, 7, 8, 9, 15, 16, 17, 31, 33, 63, 64])
-@pytest.mark.parametrize("labelled", [False, True])
-def test_every_byte_in_every_word_of_a_row_round_trips(n, labelled):
+def test_every_byte_in_every_word_of_a_row_round_trips(n):
     # row i repeats the 8 bits of i, so every 8-character word of a row, at
     # any offset, takes all 256 values (all 2**n below 8 bits) over the
-    # batch; an all-'1' row with a '1' label follows each one, so whatever
-    # a word reads past a row's last bit is ones
+    # batch; an all-'1' row follows each one, so whatever a word reads past
+    # a row's last bit is ones
     patterns = [int((format(i, "08b") * 8)[:n], 2) for i in range(256)]
     values = np.array([v for p in patterns for v in (p, (1 << n) - 1)], dtype=np.uint64)
-    labels = np.ones(len(values), dtype=np.uint8) if labelled else None
-    text = format_rows(values, n, labels=labels)
-    tail = " 1" if labelled else ""
-    assert text.split("\n") == [format(int(v), f"0{n}b") + tail for v in values]
-    if labelled:
-        back, back_labels, width = parse_labelled_rows(text)
-        assert np.array_equal(back_labels, labels)
-    else:
-        back, width = parse_rows(text)
+    text = format_rows(values, n)
+    assert text.split("\n") == [format(int(v), f"0{n}b") for v in values]
+    back, width = parse_rows(text)
     assert width == n and back.dtype == np.uint64
     assert np.array_equal(back, values)
 
@@ -163,26 +127,16 @@ def test_codec_rejects_values_and_widths_it_cannot_carry():
     for values, n in (([1 << 20], 16), ([-1], 8), ([1.5], 3), ([[1]], 3)):
         with pytest.raises(ValueError):
             format_rows(values, n)
-    with pytest.raises(ValueError):
-        format_rows([1], 2, labels=[2])
     for rows in ([], [""], ["0" * 65]):
         with pytest.raises(RowError) as err:
             parse_rows("\n".join(rows))
         assert err.value.row == 0
 
 
-def test_one_row_readers_refuse_a_second_row(tmp_path):
+def test_one_row_readers_refuse_a_second_row():
     assert parse_rows("01\n10")[0].tolist() == [1, 2]
     with pytest.raises(RowError):
         parse_bits("01\n10")
-    # an 's' field with a '\n' would shift every later string onto the
-    # coefficient of another line
-    path = tmp_path / "spec.jsonl"
-    for text, lineno in (('{"s": "01\\n10", "coeff": 0.5}\n{"s": "11", "coeff": 0.5}\n', 1),
-                         ('{"s": "01", "coeff": 0.5}\n{"s": "10\\n1", "coeff": 0.5}\n', 2)):
-        path.write_text(text)
-        with pytest.raises(ValueError, match=f"^line {lineno}: "):
-            read_spectrum(path)
 
 
 @pytest.mark.parametrize("text,lineno,reason", [
@@ -386,7 +340,6 @@ PINNED_OUTPUTS = {
     "serialize1": "5577e69dccf9ed61",
     "serialize64": "e56ce1f336ff13d0",
     "write_samples": "c4c9760a9fa6bb3b",
-    "write_examples": "2d0ef43bf05fcdd1",
     "transcript_honest": "eab8bc8aa6481947",
     "transcript_constant": "a3f85154a194dfff",
     "transcript_wrong_width": "d419fbf91e56b48b",
@@ -410,9 +363,6 @@ def test_written_formats_are_pinned(tmp_path, and2_at16):
         got[f"serialize{n}"] = _digest(serialize(batch))
     write_samples(samples, 16, tmp_path / "s.txt")
     got["write_samples"] = _digest((tmp_path / "s.txt").read_bytes())
-    write_examples(draw_examples(and2_at16, 500, np.random.default_rng(42)),
-                   tmp_path / "e.txt")
-    got["write_examples"] = _digest((tmp_path / "e.txt").read_bytes())
     p = VerifierParams(n=16, tau=0.5, eps=0.45, delta=0.2)
     provers = {
         "honest": honest_prover(spec, BitFlipNoise(0.025), np.random.default_rng(43)),
@@ -476,61 +426,50 @@ def test_bad_table_characters_raise(tmp_path, bad):
 
 
 def test_dump_readers_keep_their_leniency(tmp_path):
-    # blank lines, surrounding whitespace and any whitespace run between
-    # x and its bit were accepted before the codec and still are
+    # blank lines and surrounding whitespace were accepted before the codec
+    # and still are
     path = tmp_path / "dump.txt"
     path.write_text("  0101 \n\n1100\r\n\t0011\n\n")
     values, n = read_samples(path)
     assert n == 4 and values.tolist() == [5, 12, 3]
-    path.write_text("0101   1\n\n 1100\t0 \n")
-    batch = read_examples(path)
-    assert batch.n == 4 and batch.xs.tolist() == [5, 12] and batch.fxs.tolist() == [1, 0]
 
 
-@pytest.mark.parametrize("reader,text,lineno", [
-    (read_samples, "0101\n\n01 01\n", 3),
-    (read_samples, "0101\n011\n", 2),
-    (read_samples, "0101\n01\x0c01\n", 2),
-    (read_samples, "0101\n01é1\n", 2),
-    (read_examples, "0101 1\n\n0101 2\n", 3),
-    (read_examples, "0101 1\n0101\n", 2),
-    (read_examples, "0101 1\n0101 1 1\n", 2),
-    (read_examples, "0101 1\n01x1 0\n", 2),
+@pytest.mark.parametrize("text,lineno", [
+    ("0101\n\n01 01\n", 3),
+    ("0101\n011\n", 2),
+    ("0101\n01\x0c01\n", 2),
+    ("0101\n01é1\n", 2),
 ])
-def test_dump_readers_name_the_bad_line(tmp_path, reader, text, lineno):
+def test_dump_readers_name_the_bad_line(tmp_path, text, lineno):
     path = tmp_path / "dump.txt"
     path.write_text(text)
     with pytest.raises(ValueError, match=f"^line {lineno}: "):
-        reader(path)
+        read_samples(path)
 
 
-@pytest.mark.parametrize("reader", [read_samples, read_examples])
-def test_empty_dumps_are_rejected(tmp_path, reader):
+def test_empty_dumps_are_rejected(tmp_path):
     path = tmp_path / "dump.txt"
     path.write_text("\n \n")
     with pytest.raises(ValueError, match="empty"):
-        reader(path)
+        read_samples(path)
 
 
 WHITESPACE = " \t\x0b\x0c\u00a0\u2003"
 
 
 @st.composite
-def dumps(draw, labelled):
+def dumps(draw):
     """Dump text: canonical, or with blank lines, whitespace around rows and
-    before labels and '\r\n' line ends; either may have one corrupted line."""
+    '\r\n' line ends; either may have one corrupted line."""
     n, values = draw(batches(max_count=30))
-    labels = draw(st.lists(st.integers(0, 1), min_size=len(values),
-                           max_size=len(values))) if labelled else None
-    lines = format_rows(values, n, labels=labels).split("\n")
+    lines = format_rows(values, n).split("\n")
     end = "\n"
     if draw(st.booleans()):
         pad = st.text(st.sampled_from(WHITESPACE), max_size=3)
-        gap = st.text(st.sampled_from(WHITESPACE), min_size=1, max_size=3)
         decorated = []
         for line in lines:
             decorated += draw(st.lists(pad, max_size=2))
-            decorated.append(draw(pad) + line.replace(" ", draw(gap)) + draw(pad))
+            decorated.append(draw(pad) + line + draw(pad))
         lines, end = decorated, draw(st.sampled_from(["\n", "\r\n"]))
     if draw(st.booleans()):
         bad = draw(st.sampled_from([i for i, line in enumerate(lines) if line]))
@@ -539,23 +478,16 @@ def dumps(draw, labelled):
     return end.join(lines) + draw(st.sampled_from(["", end]))
 
 
-def _example_parts(path):
-    batch = read_examples(path)
-    return batch.xs, batch.fxs, batch.n
-
-
-def _outcome(read, *args):
+def _outcome(read, path):
     try:
-        return [np.asarray(part).tolist() for part in read(*args)]
+        return [np.asarray(part).tolist() for part in read(path)]
     except ValueError as exc:
         return str(exc)
 
 
 @relaxed
-@given(st.sampled_from([(read_samples, "sample", parse_rows),
-                        (_example_parts, "example", parse_labelled_rows)]), st.data())
-def test_dump_readers_match_the_per_line_oracle(tmp_path_factory, reader, data):
-    read, kind, parse = reader
+@given(dumps())
+def test_dump_readers_match_the_per_line_oracle(tmp_path_factory, text):
     path = tmp_path_factory.mktemp("dumps") / "dump.txt"
-    path.write_text(data.draw(dumps(labelled=kind == "example")))
-    assert _outcome(read, path) == _outcome(read_rows_per_line, path, kind, parse)
+    path.write_text(text)
+    assert _outcome(read_samples, path) == _outcome(read_rows_per_line, path)

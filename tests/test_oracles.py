@@ -7,8 +7,8 @@ from conftest import empirical_counts, tv_distance
 from qfsverify.boolfn import BooleanFunction, FourierSpectrum
 from qfsverify.noise import (BitFlipNoise, BlockFlipNoise, DepolarizingNoise,
                              analytic_noisy_dist, p0_eff)
-from qfsverify.oracles import (P0Sampler, draw_examples, read_examples, read_samples,
-                               sample_batch, write_examples, write_samples)
+from qfsverify.oracles import (P0Sampler, draw_examples, read_samples, sample_batch,
+                               write_samples)
 from reference import qfs_raw, qfs_sample_noisy
 
 
@@ -186,13 +186,3 @@ def test_sample_dump_roundtrip(tmp_path, and2_at16):
     write_samples(samples, 16, path)
     back, n = read_samples(path)
     assert n == 16 and np.array_equal(back, samples)
-
-
-def test_example_dump_roundtrip(tmp_path, and2):
-    batch = draw_examples(and2, 50, np.random.default_rng(17))
-    path = tmp_path / "examples.txt"
-    write_examples(batch, path)
-    back = read_examples(path)
-    assert back.n == 2
-    assert np.array_equal(back.xs, batch.xs)
-    assert np.array_equal(back.fxs, batch.fxs)

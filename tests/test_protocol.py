@@ -35,6 +35,20 @@ def test_verifier_params_derived():
         VerifierParams(n=16, tau=1.0, eps=0.45, delta=0.2)
 
 
+def test_a_function_of_another_width_is_refused_before_the_prover(and2):
+    # an n = 2 function against n = 16 parameters would fail validation and
+    # read as a forged reply; the verifier refuses it before any request
+    requests = []
+
+    def prover(req):
+        requests.append(req)
+        return SampleBatch(16, np.zeros(req.count, dtype=np.uint64))
+
+    with pytest.raises(ValueError, match=r"^function width 2 != verifier width n = 16$"):
+        verifier_run(params16(), and2, prover, seed=1)
+    assert requests == []
+
+
 def test_serialize_request():
     assert serialize(SampleRequest(3)) == "REQ 3"
     assert deserialize("REQ 3") == SampleRequest(3)

@@ -10,6 +10,12 @@ from qfsverify.spectral import (argmax_estimate, estimate_coeffs, examples_neede
                                 learn_parity, regret, sparse_estimate)
 
 
+def linf_error(est, spec) -> float:
+    """l-infinity distance of an estimate to the true spectrum over all strings."""
+    keys = set(est.entries) | {int(s) for s in spec.support}
+    return max(abs(est.coeff(s) - spec.coeff(s)) for s in keys)
+
+
 def test_examples_needed_closed_form():
     assert examples_needed(32, 0.1, 0.1) == 1293
     k = examples_needed(32, 0.1, 0.1)
@@ -93,7 +99,7 @@ def test_sparse_estimate_parity():
         est = sparse_estimate(spec, BitFlipNoise(0.0), 0.5, 0.1,
                               np.random.default_rng(6000 + t))
         assert len(est.entries) <= math.floor(2 / 0.25)
-        if est.coeff(0b10010110) >= 0.5 and est.max_error(spec) <= 0.5:
+        if est.coeff(0b10010110) >= 0.5 and linf_error(est, spec) <= 0.5:
             ok += 1
     assert ok >= 18  # 1 - delta guarantee
 
@@ -109,7 +115,6 @@ def test_sparse_estimate_support_cap(and2_at16):
     est = sparse_estimate(spec, BitFlipNoise(0.02), 0.45, 0.1,
                           np.random.default_rng(7))
     assert len(est.entries) <= math.floor(2 / 0.45 ** 2)
-    assert set(est.entries) == set(est.support_source)
     assert all(-1 - 1e-9 <= v <= 1 + 1e-9 for v in est.entries.values())
 
 
@@ -142,7 +147,7 @@ def test_sparse_estimate_and_learner_on_and2_at_scale(and2_at16):
     for t in range(200):
         est = sparse_estimate(spec, BitFlipNoise(0.02), 0.45, 0.1,
                               np.random.default_rng(8000 + t))
-        eps_ok += est.max_error(spec) <= 0.45
+        eps_ok += linf_error(est, spec) <= 0.45
         regret_ok += regret(spec, argmax_estimate(est.entries)) <= 0.45
     assert eps_ok >= 170
     assert regret_ok >= 170
