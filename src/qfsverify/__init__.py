@@ -13,7 +13,7 @@ from .boolfn import (BooleanFunction, FourierSpectrum, GenerationError,
 from .harness import ExperimentConfig, TrialRecord, derive_seed, run_experiment, wilson_interval
 from .noise import (BitFlipNoise, BlockFlipNoise, DepolarizingNoise,
                     analytic_noisy_dist, eta_eff, make_channel, p0_eff)
-from .oracles import ExampleBatch, P0Sampler, draw_examples, sample_batch
+from .oracles import ExampleBatch, draw_examples, draw_p0, sample_batch
 from .protocol import (Accepted, Rejected, SampleBatch, SampleRequest, Transcript,
                        VerifierParams, honest_prover, make_prover, protocol_trial,
                        read_transcript, replay_transcript, verifier_run,

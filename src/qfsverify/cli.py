@@ -47,7 +47,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--path", default="effective", choices=["effective", "physical"])
 
     p = sub.add_parser("rectify", help="recover heavy strings from a sample dump")
     p.add_argument("--samples", required=True)
@@ -98,8 +97,7 @@ def cmd_sample(args) -> int:
     f = read_function(args.function)
     spec = f.spectrum()
     channel = make_channel(args.model, args.eta)
-    samples = sample_batch(spec, channel, args.count, np.random.default_rng(args.seed),
-                           path=args.path)
+    samples = sample_batch(spec, channel, args.count, np.random.default_rng(args.seed))
     write_samples(samples, f.n, args.out)
     print(f"wrote {args.count} samples to {args.out}")
     return 0

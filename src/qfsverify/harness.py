@@ -23,7 +23,22 @@ from .rectify import heavy_set, rectify, required_samples
 from .spectral import argmax_estimate, regret, sparse_estimate
 
 MODES = ("rectify", "learn", "verify-complete", "verify-sound")
+_NUMBERS = {"n": int, "j": int, "tau": float, "eps": float, "delta": float,
+            "trials": int, "seed": int, "threads": int}
 _MASK64 = (1 << 64) - 1
+
+
+def _number(name: str, value, kind: type):
+    """value as kind (int or float); a fault names the field. JSON's
+    true/false are not numbers, and int() would truncate a fraction."""
+    fraction = kind is int and isinstance(value, float) and not value.is_integer()
+    if not isinstance(value, bool) and not fraction:
+        try:
+            return kind(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    what = "an integer" if kind is int else "a number"
+    raise ValueError(f"{name}: must be {what}, got {value!r}")
 
 
 def derive_seed(master: int, index: int) -> int:
@@ -79,9 +94,15 @@ class ExperimentConfig:
                 raise ValueError(f"{name}: must lie in (0, 1), got {v}")
         if self.threads < 0:
             raise ValueError(f"threads: must be >= 0, got {self.threads}")
-        make_channel(self.noise_model, self.eta)  # validates model and eta
+        for key, path in (("function", self.function_file), ("out", self.out)):
+            if path is not None and not isinstance(path, str):  # open(5) opens fd 5
+                raise ValueError(f"{key}: must be a file path, got {path!r}")
+        try:
+            make_channel(self.noise_model, self.eta)  # validates model and eta
+        except ValueError as exc:
+            raise ValueError(f"noise: {exc}") from None
         if self.mode == "verify-sound":
-            if self.adversary not in ADVERSARY_KINDS:
+            if not isinstance(self.adversary, str) or self.adversary not in ADVERSARY_KINDS:
                 raise ValueError(
                     f"adversary: verify-sound needs one of {tuple(ADVERSARY_KINDS)}, "
                     f"got {self.adversary!r}")
@@ -94,19 +115,19 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        for name in ("n", "j", "trials", "seed", "threads"):  # int() would truncate
-            value = doc.get(name, 0)
-            if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-                raise ValueError(f"{name}: must be an integer, got {value!r}")
+        if not isinstance(doc, dict):
+            raise ValueError(f"config: must be a JSON object, got {type(doc).__name__}")
+        doc = {"threads": 0, **doc}
         try:
             noise = doc["noise"]
-            cfg = cls(mode=doc["mode"], n=int(doc["n"]), j=int(doc["j"]),
-                      tau=float(doc["tau"]), eps=float(doc["eps"]),
-                      delta=float(doc["delta"]), noise_model=noise["model"],
-                      eta=float(noise["eta"]), trials=int(doc["trials"]),
-                      seed=int(doc["seed"]), adversary=doc.get("adversary"),
-                      function_file=doc.get("function"), out=doc.get("out"),
-                      threads=int(doc.get("threads", 0)))
+            if not isinstance(noise, dict):
+                raise ValueError(f'noise: must be {{"model": ..., "eta": ...}}, got {noise!r}')
+            cfg = cls(mode=doc["mode"], noise_model=noise["model"],
+                      eta=_number("noise.eta", noise["eta"], float),
+                      adversary=doc.get("adversary"), function_file=doc.get("function"),
+                      out=doc.get("out"),
+                      **{name: _number(name, doc[name], kind)
+                         for name, kind in _NUMBERS.items()})
         except KeyError as exc:
             raise ValueError(f"{exc.args[0]}: missing required config field") from None
         cfg.validate()

@@ -97,11 +97,9 @@ CHANNELS = {"bitflip": BitFlipNoise, "depolarizing": DepolarizingNoise,
 
 def make_channel(model: str, eta: float) -> NoiseChannel:
     """Build a channel from its config-file record {model, eta}."""
-    try:
-        cls = CHANNELS[model]
-    except KeyError:
-        raise ValueError(f"unknown noise model {model!r}; "
-                         f"expected one of {sorted(CHANNELS)}") from None
+    cls = CHANNELS.get(model) if isinstance(model, str) else None
+    if cls is None:
+        raise ValueError(f"unknown noise model {model!r}; expected one of {sorted(CHANNELS)}")
     return cls(eta)
 
 

@@ -2,8 +2,10 @@
 classically simulated noisy Fourier-sampling circuit.
 
 Ground truth may be a BooleanFunction or a FourierSpectrum; both expose
-``n`` and vectorized evaluation. Every sampler draws a batch at once;
-the shot-by-shot loops that define their laws are kept as test oracles.
+``n`` and vectorized evaluation. Every sampler draws a batch at once by
+one route; the shot-by-shot loops that define their laws, and the
+physical depolarizing batch that sample_batch's mixture must match, are
+test oracles in tests/reference.py.
 """
 from __future__ import annotations
 
@@ -14,8 +16,6 @@ import numpy as np
 from .bits import RowError, format_rows, parse_rows, random_words
 from .boolfn import FourierSpectrum
 from .noise import DepolarizingNoise, NoiseChannel
-
-SAFETY_STOP = 10 ** 6
 
 
 @dataclass(eq=False)
@@ -37,65 +37,28 @@ def draw_examples(f, count: int, rng: np.random.Generator) -> ExampleBatch:
     return ExampleBatch(f.n, xs, f.eval_many(xs))
 
 
-class P0Sampler:
-    """Draws support strings with probability g-hat(s)^2.
-
-    Cumulative weights over the (sorted) sparse support are precomputed
-    once; draws use binary search on uniforms.
-    """
-
-    def __init__(self, spec: FourierSpectrum):
-        self.n = spec.n
-        self.support = spec.support
-        probs = spec.coeffs * spec.coeffs
-        self._cum = np.cumsum(probs)
-
-    def draw_many(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        idx = np.searchsorted(self._cum, rng.random(count), side="right")
-        idx = np.minimum(idx, len(self.support) - 1)
-        return self.support[idx]
+def draw_p0(spec: FourierSpectrum, count: int, rng: np.random.Generator) -> np.ndarray:
+    """count support strings drawn with probability g-hat(s)^2, by binary
+    search of count uniforms in the cumulative weights."""
+    idx = np.searchsorted(np.cumsum(spec.coeffs * spec.coeffs), rng.random(count),
+                          side="right")
+    return spec.support[np.minimum(idx, len(spec.support) - 1)]
 
 
 def sample_batch(spec: FourierSpectrum, channel: NoiseChannel, count: int,
-                 rng: np.random.Generator, path: str = "effective") -> np.ndarray:
+                 rng: np.random.Generator) -> np.ndarray:
     """count independent draws of s from the noisy circuit, conditioned on
     its noisy readout y = 1. Bit-flip and block-flip leave y noiseless, so s
-    is p0 XOR the channel's flip mask on either path. Depolarization also
-    flips y with eta_eff, which makes s's law (1 - eta_eff) p0 + eta_eff delta_0
-    under the flips: the effective path draws that mixture, the physical path
-    simulates shots (y = 1 w.p. 1/2 with s ~ p0, else 0^n) and keeps noisy y = 1."""
+    is p0 XOR the channel's flip mask. Depolarization also flips y with
+    eta_eff, which makes s's law (1 - eta_eff) p0 + eta_eff delta_0 under
+    the flips; that mixture is drawn here, and the shot simulation that
+    keeps noisy y = 1 is tests/reference.py::physical_batch."""
     if count < 1:
         raise ValueError(f"sample count must be positive, got {count}")
-    if path not in ("effective", "physical"):
-        raise ValueError(f"unknown sampling path {path!r}")
-    sampler = P0Sampler(spec)
-    depolarizing = isinstance(channel, DepolarizingNoise)
-    if depolarizing and path == "physical":
-        return _physical_batch(sampler, channel, count, rng)
-    s = sampler.draw_many(count, rng)
-    if depolarizing:
+    s = draw_p0(spec, count, rng)
+    if isinstance(channel, DepolarizingNoise):
         s = np.where(rng.random(count) < channel.eta_eff, np.uint64(0), s)
     return s ^ channel.flip_masks(spec.n, count, rng)
-
-
-def _physical_batch(sampler: P0Sampler, channel: DepolarizingNoise, count: int,
-                    rng: np.random.Generator) -> np.ndarray:
-    n = sampler.n
-    eta = channel.eta_eff
-    chunks = []
-    have = 0
-    for _ in range(SAFETY_STOP):
-        take = 2 * (count - have) + 16
-        y = rng.random(take) < 0.5
-        s = np.where(y, sampler.draw_many(take, rng), np.uint64(0))
-        s ^= channel.flip_masks(n, take, rng)
-        y_noisy = y ^ (rng.random(take) < eta)
-        kept = s[y_noisy]
-        chunks.append(kept)
-        have += len(kept)
-        if have >= count:
-            return np.concatenate(chunks)[:count]
-    raise RuntimeError("physical-path sampling exceeded the safety stop")
 
 
 def write_samples(samples: np.ndarray, n: int, path) -> None:

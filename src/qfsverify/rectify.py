@@ -14,10 +14,11 @@ parent c lies at distance d(c, q >> 1) + [b != last bit of q] from q, so
 only children ending in q's last bit can be nearest, and a parents x
 groups distance matrix decides the nearest set and its ties. Each sample
 of a tied group, group by group in ascending order, draws
-rng.integers(0, ways) over its group's `ways` nearest parents in
-ascending order. The list and the generator state are those of
-tests/reference.py::nearest_match applied to each sample in ascending
-order at each level.
+rng.integers(0, ways) over its group's `ways` nearest parents in the
+surviving list's order: match count descending, then prefix ascending,
+as the previous step kept them, not ascending value. The list and the
+generator state are those of tests/reference.py::nearest_match applied
+to each sample in ascending order at each level.
 """
 from __future__ import annotations
 
@@ -117,7 +118,7 @@ def rectify(samples, n: int, theta: float, rng: np.random.Generator) -> list[int
         if tied.any():  # one draw per tied sample, group by group in ascending order
             tg = np.flatnonzero(tied)
             w, span = ways[tg].astype(np.intp), size[tg]  # intp: offsets add to int64 draws
-            # the t-th tied group's nearest parents, ascending, as t * len(level) + parent
+            # the t-th tied group's nearest parents, in list order, as t * len(level) + parent
             pair = np.flatnonzero(near[:, tg].T.ravel())
             won = pair[np.repeat(np.cumsum(w) - w, span) + rng.integers(0, np.repeat(w, span))]
             counts += np.bincount(2 * (won % len(level)) + np.repeat(bit[tg], span),

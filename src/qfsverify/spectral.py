@@ -49,7 +49,6 @@ class SparseEstimate:
     """Estimated coefficients on the rectified candidate list, zero elsewhere."""
 
     entries: dict[int, float]
-    eps: float
     qfs_samples: int
     examples_used: int
 
@@ -79,8 +78,8 @@ def sparse_estimate(spec: FourierSpectrum, channel: NoiseChannel, eps: float,
     support = rectify(batch, spec.n, theta, rng)
     kprime = examples_needed(len(support), eps, delta / 4.0)
     ex = draw_examples(spec, kprime, rng)
-    return SparseEstimate(entries=estimate_coeffs(support, ex), eps=eps,
-                          qfs_samples=k, examples_used=kprime)
+    return SparseEstimate(entries=estimate_coeffs(support, ex), qfs_samples=k,
+                          examples_used=kprime)
 
 
 def argmax_estimate(entries: dict[int, float]) -> int:

@@ -13,11 +13,16 @@ oracles.read_samples must return what it returns, or raise its error.
 
 dense_flip_masks is the flip sampler that draws one uniform per bit (per
 pair, for block-flip), packed column by column with pack_rows; the masks
-of the channels' own flip_masks must follow its law. qfs_raw is one noise-free circuit shot, apply one channel
-use on one string through dense_flip_masks, and qfs_sample_noisy one
-shot-by-shot draw from the noisy conditional law, with its own physical
-depolarizing loop; the draws of oracles.sample_batch must follow the same
-law. hamming is the scalar distance nearest_match uses.
+of the channels' own flip_masks must follow its law. qfs_raw is one
+noise-free circuit shot, apply one channel use on one string through
+dense_flip_masks, and qfs_sample_noisy one shot-by-shot draw from the
+noisy conditional law, with its own physical depolarizing loop; the
+draws of oracles.sample_batch must follow the same law. physical_batch
+is the depolarizing batch drawn the physical way: it simulates shots (y
+= 1 w.p. 1/2 with s ~ p0, else 0^n), flips s and y, and keeps the shots
+whose noisy y is 1; sample_batch, which draws the equivalent mixture
+(1 - eta_eff) p0 + eta_eff delta_0 instead, must match its law. hamming
+is the scalar distance nearest_match uses.
 """
 from __future__ import annotations
 
@@ -29,10 +34,11 @@ from qfsverify.bits import (RowError, check_value, check_width, fits_rows, parse
                             popcount)
 from qfsverify.boolfn import FourierSpectrum
 from qfsverify.noise import BlockFlipNoise, DepolarizingNoise, NoiseChannel
-from qfsverify.oracles import SAFETY_STOP, P0Sampler
+from qfsverify.oracles import draw_p0
 from qfsverify.rectify import list_cap
 
 _MATCH_CHUNK = 1 << 16
+SAFETY_STOP = 10 ** 6
 
 
 def hamming(a: int, b: int) -> int:
@@ -159,15 +165,15 @@ class QfsRawOutcome:
     y: int
 
 
-def _raw(sampler: P0Sampler, rng: np.random.Generator) -> QfsRawOutcome:
+def _raw(spec: FourierSpectrum, rng: np.random.Generator) -> QfsRawOutcome:
     if rng.random() < 0.5:
-        return QfsRawOutcome(int(sampler.draw_many(1, rng)[0]), 1)
+        return QfsRawOutcome(int(draw_p0(spec, 1, rng)[0]), 1)
     return QfsRawOutcome(0, 0)
 
 
 def qfs_raw(spec: FourierSpectrum, rng: np.random.Generator) -> QfsRawOutcome:
     """One noise-free circuit shot: y = 1 w.p. 1/2 with s ~ p0, else (0^n, 0)."""
-    return _raw(P0Sampler(spec), rng)
+    return _raw(spec, rng)
 
 
 def qfs_sample_noisy(spec: FourierSpectrum, channel: NoiseChannel,
@@ -180,13 +186,12 @@ def qfs_sample_noisy(spec: FourierSpectrum, channel: NoiseChannel,
     eta_eff and conditions on the noisy y; the effective path (default)
     draws from the equivalent mixture p0_eff and then flips bits.
     """
-    sampler = P0Sampler(spec)
     n = spec.n
     if isinstance(channel, DepolarizingNoise):
         if path == "physical":
             eta = channel.eta_eff
             for _ in range(SAFETY_STOP):
-                raw = _raw(sampler, rng)
+                raw = _raw(spec, rng)
                 s = apply(channel, raw.s, n, rng)
                 y = raw.y ^ int(rng.random() < eta)
                 if y == 1:
@@ -194,10 +199,31 @@ def qfs_sample_noisy(spec: FourierSpectrum, channel: NoiseChannel,
             raise RuntimeError("physical-path sampling exceeded the safety stop")
         if path != "effective":
             raise ValueError(f"unknown sampling path {path!r}")
-        s = 0 if rng.random() < channel.eta_eff else int(sampler.draw_many(1, rng)[0])
+        s = 0 if rng.random() < channel.eta_eff else int(draw_p0(spec, 1, rng)[0])
         return apply(channel, s, n, rng)
     for _ in range(SAFETY_STOP):
-        raw = _raw(sampler, rng)
+        raw = _raw(spec, rng)
         if raw.y == 1:
             return apply(channel, raw.s, n, rng)
     raise RuntimeError("raw sampling exceeded the safety stop")
+
+
+def physical_batch(spec: FourierSpectrum, channel: DepolarizingNoise, count: int,
+                   rng: np.random.Generator) -> np.ndarray:
+    """count draws of s conditioned on noisy y = 1, from simulated shots."""
+    n = spec.n
+    eta = channel.eta_eff
+    chunks = []
+    have = 0
+    for _ in range(SAFETY_STOP):
+        take = 2 * (count - have) + 16
+        y = rng.random(take) < 0.5
+        s = np.where(y, draw_p0(spec, take, rng), np.uint64(0))
+        s ^= channel.flip_masks(n, take, rng)
+        y_noisy = y ^ (rng.random(take) < eta)
+        kept = s[y_noisy]
+        chunks.append(kept)
+        have += len(kept)
+        if have >= count:
+            return np.concatenate(chunks)[:count]
+    raise RuntimeError("physical-path sampling exceeded the safety stop")

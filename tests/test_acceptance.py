@@ -17,6 +17,7 @@ from qfsverify.protocol import (ADVERSARY_KINDS, VerifierParams, honest_prover,
 from qfsverify.rectify import heavy_set, rectify, required_samples
 from qfsverify.selftest import PD_ETAS, check_pd_identities, check_sample_formulas
 from qfsverify.spectral import learn_parity, regret
+from reference import physical_batch
 
 AND2_AT16 = BooleanFunction.junta(16, (3, 5), [0, 0, 0, 1])
 
@@ -70,8 +71,8 @@ def test_c2_noise_law_fidelity():
     start = time.perf_counter()
     ch = DepolarizingNoise(0.1)
     rng = np.random.default_rng(204)
-    eff = empirical_counts(sample_batch(spec, ch, 10 ** 6, rng, path="effective"), 6)
-    phys = empirical_counts(sample_batch(spec, ch, 10 ** 6, rng, path="physical"), 6)
+    eff = empirical_counts(sample_batch(spec, ch, 10 ** 6, rng), 6)
+    phys = empirical_counts(physical_batch(spec, ch, 10 ** 6, rng), 6)
     tv_paths = 0.5 * float(np.abs(eff / eff.sum() - phys / phys.sum()).sum())
     elapsed_b = time.perf_counter() - start
     assert tv_paths <= 0.01, f"C2 path equivalence TV {tv_paths:.4f} > 0.01"

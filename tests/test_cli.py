@@ -169,6 +169,22 @@ def test_experiment_rejects_zero_trials(tmp_path, capsys):
     assert err.startswith("error:") and "trials" in err
 
 
+@pytest.mark.parametrize("field,fault", [
+    ("adversary", {"mode": "verify-sound", "adversary": ["omit"]}),
+    ("noise", {"noise": {"model": ["bitflip"], "eta": 0.02}}),
+    ("noise", {"noise": "bitflip"}),
+    ("tau", {"tau": "x"}),
+    ("function", {"function": ["target.fn"]}),
+    ("out", {"out": ["records.jsonl"]}),
+])
+def test_experiment_config_fault_names_its_field(tmp_path, capsys, field, fault):
+    config = experiment_config(tmp_path, 3)
+    config.write_text(json.dumps({**json.loads(config.read_text()), **fault}))
+    assert run_cli("experiment", "--config", config) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field}") and err.count("\n") == 1
+
+
 def test_missing_function_file_is_one_line_error(tmp_path, capsys):
     assert run_cli("learn", "--function", tmp_path / "nope.fn", "--model",
                    "bitflip", "--eta", 0.02, "--eps", 0.45, "--delta", 0.1,

@@ -7,9 +7,8 @@ from conftest import empirical_counts, tv_distance
 from qfsverify.boolfn import BooleanFunction, FourierSpectrum
 from qfsverify.noise import (BitFlipNoise, BlockFlipNoise, DepolarizingNoise,
                              analytic_noisy_dist, p0_eff)
-from qfsverify.oracles import (P0Sampler, draw_examples, read_samples, sample_batch,
-                               write_samples)
-from reference import qfs_raw, qfs_sample_noisy
+from qfsverify.oracles import draw_examples, draw_p0, read_samples, sample_batch, write_samples
+from reference import physical_batch, qfs_raw, qfs_sample_noisy
 
 
 def test_random_example_constant_zero():
@@ -39,19 +38,19 @@ def test_random_example_parity_correlation():
 def test_p0_sampler_point_mass():
     spec = FourierSpectrum(3, {0b101: 1.0})
     rng = np.random.default_rng(3)
-    assert np.all(P0Sampler(spec).draw_many(10, rng) == 0b101)
+    assert np.all(draw_p0(spec, 10, rng) == 0b101)
 
 
 def test_p0_sampler_and2(and2):
     spec = and2.spectrum()
-    draws = P0Sampler(spec).draw_many(10 ** 6, np.random.default_rng(4))
+    draws = draw_p0(spec, 10 ** 6, np.random.default_rng(4))
     freqs = empirical_counts(draws, 2) / 10 ** 6
     assert np.all(np.abs(freqs - 0.25) <= 0.005)
 
 
 def test_p0_sampler_junta_support(and2_at16):
     spec = and2_at16.spectrum()
-    draws = P0Sampler(spec).draw_many(10 ** 4, np.random.default_rng(5))
+    draws = draw_p0(spec, 10 ** 4, np.random.default_rng(5))
     outside = ~np.uint64((1 << (16 - 3)) | (1 << (16 - 5)))
     assert np.all(draws & outside == 0)
 
@@ -114,8 +113,8 @@ def test_depolarizing_paths_agree(and2_at16):
     spec = f.spectrum()
     ch = DepolarizingNoise(0.1)
     rng = np.random.default_rng(11)
-    eff = sample_batch(spec, ch, 2 * 10 ** 5, rng, path="effective")
-    phys = sample_batch(spec, ch, 2 * 10 ** 5, rng, path="physical")
+    eff = sample_batch(spec, ch, 2 * 10 ** 5, rng)
+    phys = physical_batch(spec, ch, 2 * 10 ** 5, rng)
     p0 = {int(s): float(c * c) for s, c in zip(spec.support, spec.coeffs)}
     exact = analytic_noisy_dist(p0_eff(p0, ch.eta_eff), ch.eta_eff, 8)
     assert tv_distance(empirical_counts(eff, 8), exact) <= 0.01
@@ -132,17 +131,6 @@ def test_scalar_depolarizing_paths(and2):
         p0 = {int(s): float(c * c) for s, c in zip(spec.support, spec.coeffs)}
         exact = analytic_noisy_dist(p0_eff(p0, ch.eta_eff), ch.eta_eff, 2)
         assert tv_distance(empirical_counts(draws, 2), exact) <= 0.02
-
-
-def test_sample_batch_paths_on_every_channel(and2):
-    spec = and2.spectrum()
-    for ch in (BitFlipNoise(0.1), BlockFlipNoise(0.1), DepolarizingNoise(0.1)):
-        with pytest.raises(ValueError, match="unknown sampling path 'sideways'"):
-            sample_batch(spec, ch, 10, np.random.default_rng(12), path="sideways")
-        eff, phys = (sample_batch(spec, ch, 10, np.random.default_rng(12), path=path)
-                     for path in ("effective", "physical"))
-        # only depolarization flips y, so only it has a physical route of its own
-        assert np.array_equal(eff, phys) != isinstance(ch, DepolarizingNoise)
 
 
 def test_blockflip_batch_law_matches_scalar_oracle_at_odd_width():

@@ -77,6 +77,18 @@ def test_rectify_hand_trace():
     assert out == [0b00, 0b11, 0b01]
 
 
+@pytest.mark.parametrize("seed,expected", [(1, [0b110, 0b000]), (0, [0b110, 0b001])])
+def test_rectify_tie_draws_over_the_list_order(seed, expected):
+    # cap 2 keeps [11, 00] at m = 2 (counts 5, 4); at m = 3 the sample 011
+    # is one away from both, so its draw indexes that list: 0 picks 11 (the
+    # child 111), 1 picks 00 (001, now 3 against 000's 2). Indexing in
+    # ascending value would give 001 for a draw of 0.
+    samples = [0b110] * 5 + [0b000] * 2 + [0b001] * 2 + [0b011]
+    assert int(np.random.default_rng(seed).integers(0, 2)) == 1 - seed
+    for impl in (rectify, rectify_loop, rectify_dense):
+        assert impl(samples, 3, 0.7, np.random.default_rng(seed)) == expected
+
+
 def test_rectify_keeps_certain_string():
     for theta in (0.1, 0.5, 0.9):
         out = rectify([0b10110] * 50, 5, theta, np.random.default_rng(5))
