@@ -8,17 +8,16 @@ import contextlib
 import ctypes
 
 from .bits import CapacityError, format_bits, parse_bits
-from .boolfn import (BooleanFunction, FourierSpectrum, GenerationError,
-                     coeff_bruteforce, gen_ftau, read_function, write_function)
+from .boolfn import (BooleanFunction, FourierSpectrum, GenerationError, gen_ftau,
+                     read_function, write_function)
 from .harness import ExperimentConfig, TrialRecord, derive_seed, run_experiment, wilson_interval
-from .noise import (BitFlipNoise, BlockFlipNoise, DepolarizingNoise,
-                    analytic_noisy_dist, eta_eff, make_channel, p0_eff)
+from .noise import BitFlipNoise, BlockFlipNoise, DepolarizingNoise, eta_eff, make_channel
 from .oracles import ExampleBatch, draw_examples, draw_p0, sample_batch
 from .protocol import (Accepted, Rejected, SampleBatch, SampleRequest, Transcript,
                        VerifierParams, honest_prover, make_prover, protocol_trial,
                        read_transcript, replay_transcript, verifier_run,
                        write_transcript)
-from .rectify import heavy_set, list_cap, p_d_poly, rectify, required_samples
+from .rectify import heavy_set, list_cap, rectify, required_samples
 from .spectral import (SparseEstimate, estimate_coeffs, examples_needed,
                        learn_parity, regret, sparse_estimate)
 

@@ -17,7 +17,6 @@ from .bits import (CapacityError, check_value, check_width, format_table, parity
                    parse_table)
 
 DENSE_WIDTH_CAP = 24
-BRUTEFORCE_WIDTH_CAP = 16
 PARSEVAL_TOL = 1e-9
 GEN_FTAU_MAX_REJECTS = 1000
 
@@ -82,10 +81,6 @@ class BooleanFunction:
             bit = (xs >> np.uint64(self.n - c)) & np.uint64(1)
             idx |= bit << np.uint64(j - 1 - i)
         return idx
-
-    def eval(self, x: int) -> int:
-        check_value(x, self.n)
-        return int(self.eval_many(np.array([x], dtype=np.uint64))[0])
 
     def eval_many(self, xs: np.ndarray) -> np.ndarray:
         xs = np.asarray(xs, dtype=np.uint64)
@@ -207,13 +202,6 @@ class FourierSpectrum:
         check_value(s, self.n)
         return self.entries.get(int(s), 0.0)
 
-    def loss(self, s: int) -> float:
-        """Exact disagreement rate of the parity hypothesis s: (1 - g-hat(s)) / 2."""
-        return (1.0 - self.coeff(s)) / 2.0
-
-    def min_nonzero(self) -> float:
-        return float(np.min(np.abs(self._coeffs)))
-
     def max_coeff(self) -> float:
         """max over all 2^n strings of g-hat(s), zeros off support included."""
         m = float(np.max(self._coeffs))
@@ -228,17 +216,6 @@ class FourierSpectrum:
         for s, c in zip(self._support, self._coeffs):
             g += c * (1.0 - 2.0 * parity(xs & s))
         return (g < 0.0).astype(np.uint8)
-
-
-def coeff_bruteforce(f: BooleanFunction, s: int) -> float:
-    """Direct-summation Fourier coefficient; the oracle the transform is tested against."""
-    if f.n > BRUTEFORCE_WIDTH_CAP:
-        raise CapacityError(f"brute force needs n <= {BRUTEFORCE_WIDTH_CAP}, got {f.n}")
-    check_value(s, f.n)
-    xs = np.arange(1 << f.n, dtype=np.uint64)
-    g = 1 - 2 * f.eval_many(xs).astype(np.int64)
-    chi = 1 - 2 * parity(xs & np.uint64(s)).astype(np.int64)
-    return float(np.sum(g * chi)) / float(1 << f.n)
 
 
 def gen_ftau(n: int, j: int, tau: float, rng: np.random.Generator) -> BooleanFunction:

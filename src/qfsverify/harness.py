@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .spectral import argmax_estimate, regret, sparse_estimate
 
 MODES = ("rectify", "learn", "verify-complete", "verify-sound")
 _NUMBERS = {"n": int, "j": int, "tau": float, "eps": float, "delta": float,
-            "trials": int, "seed": int, "threads": int}
+            "eta": float, "trials": int, "seed": int, "threads": int}
 _MASK64 = (1 << 64) - 1
 
 
@@ -70,12 +70,13 @@ class ExperimentConfig:
     tau: float
     eps: float
     delta: float
-    noise_model: str
-    eta: float
+    # a field's config-file key is its name unless "key" gives its path
+    noise_model: str = field(metadata={"key": ("noise", "model")})
+    eta: float = field(metadata={"key": ("noise", "eta")})
     trials: int
     seed: int
     adversary: str | None = None
-    function_file: str | None = None
+    function_file: str | None = field(default=None, metadata={"key": ("function",)})
     out: str | None = None
     # worker count for a future process pool (0: one per usable CPU);
     # it selects nothing yet, trials run in the calling thread
@@ -117,19 +118,24 @@ class ExperimentConfig:
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
         if not isinstance(doc, dict):
             raise ValueError(f"config: must be a JSON object, got {type(doc).__name__}")
-        doc = {"threads": 0, **doc}
-        try:
-            noise = doc["noise"]
-            if not isinstance(noise, dict):
-                raise ValueError(f'noise: must be {{"model": ..., "eta": ...}}, got {noise!r}')
-            cfg = cls(mode=doc["mode"], noise_model=noise["model"],
-                      eta=_number("noise.eta", noise["eta"], float),
-                      adversary=doc.get("adversary"), function_file=doc.get("function"),
-                      out=doc.get("out"),
-                      **{name: _number(name, doc[name], kind)
-                         for name, kind in _NUMBERS.items()})
-        except KeyError as exc:
-            raise ValueError(f"{exc.args[0]}: missing required config field") from None
+        noise = doc.get("noise", {})
+        if not isinstance(noise, dict):
+            raise ValueError(f'noise: must be {{"model": ..., "eta": ...}}, got {noise!r}')
+        given = {(key,): value for key, value in doc.items() if key != "noise"}
+        given.update({("noise", key): value for key, value in noise.items()})
+        paths = {f.metadata.get("key", (f.name,)): f for f in fields(cls)}
+        for path in given:
+            if path not in paths:
+                raise ValueError(f"{'.'.join(map(str, path))}: unknown config field")
+        values = {}
+        for path, f in paths.items():
+            key = ".".join(path)
+            if path in given:
+                kind = _NUMBERS.get(f.name)
+                values[f.name] = given[path] if kind is None else _number(key, given[path], kind)
+            elif f.default is MISSING:
+                raise ValueError(f"{key}: missing required config field")
+        cfg = cls(**values)
         cfg.validate()
         return cfg
 

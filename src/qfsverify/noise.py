@@ -3,8 +3,7 @@
 Three channels are provided: independent bit flips of strength eta,
 depolarization reduced to its effective flip rate
 eta_eff = eta_dep - eta_dep^2 / 2, and a correlated block-flip family
-that flips disjoint adjacent bit pairs jointly. A dense analytic oracle
-for the binary-symmetric-channel convolution backs the statistical tests.
+that flips disjoint adjacent bit pairs jointly.
 """
 from __future__ import annotations
 
@@ -12,10 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bits import CapacityError, check_value, check_width, popcount
-
-ANALYTIC_WIDTH_CAP = 12
-MASS_TOL = 1e-9
+from .bits import check_width
 
 
 class _UnitFlips:
@@ -108,42 +104,3 @@ def eta_eff(eta_dep: float) -> float:
     if not 0.0 <= eta_dep <= 1.0:
         raise ValueError(f"depolarizing strength must lie in [0, 1], got {eta_dep}")
     return eta_dep - 0.5 * eta_dep * eta_dep
-
-
-def _check_normalized(probs, what: str) -> None:
-    total = float(sum(probs))
-    if abs(total - 1.0) > MASS_TOL:
-        raise ValueError(f"{what} must sum to 1, got {total!r}")
-
-
-def p0_eff(p0: dict[int, float], eta: float) -> dict[int, float]:
-    """Mix a sparse distribution with the all-zeros point mass:
-    (1 - eta) * p0 + eta * delta_0."""
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"mixing weight must lie in [0, 1], got {eta}")
-    _check_normalized(p0.values(), "input distribution")
-    if eta == 0.0:
-        return dict(p0)
-    out = {s: (1.0 - eta) * p for s, p in p0.items()}
-    out[0] = out.get(0, 0.0) + eta
-    return out
-
-
-def analytic_noisy_dist(p0: dict[int, float], eta: float, n: int) -> np.ndarray:
-    """Exact binary-symmetric-channel convolution, dense over all 2^n strings.
-
-    Test oracle only: p_eta(s) = sum_s' eta^d(s,s') (1-eta)^(n-d(s,s')) p0(s').
-    """
-    check_width(n)
-    if n > ANALYTIC_WIDTH_CAP:
-        raise CapacityError(f"analytic oracle needs n <= {ANALYTIC_WIDTH_CAP}, got {n}")
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"flip probability must lie in [0, 1], got {eta}")
-    _check_normalized(p0.values(), "input distribution")
-    xs = np.arange(1 << n, dtype=np.uint64)
-    out = np.zeros(1 << n, dtype=np.float64)
-    for s_src, p in p0.items():
-        check_value(s_src, n)
-        d = popcount(xs ^ np.uint64(s_src)).astype(np.float64)
-        out += p * eta ** d * (1.0 - eta) ** (n - d)
-    return out

@@ -267,11 +267,15 @@ def _omit_heaviest(spec: FourierSpectrum) -> FourierSpectrum:
 def check_reply(reply, params: VerifierParams) -> tuple[SampleBatch | None, Rejected | None]:
     """What a prover's reply earns: the batch a transcript records (None when
     the wire format cannot carry the reply) and the rejection, BadBatch
-    unless the reply is a 1-D uint64 batch of k width-n values, else None."""
-    writable = isinstance(reply, SampleBatch) and fits_rows(reply.samples, reply.n)
-    if not writable or reply.n != params.n or len(reply.samples) != params.k:
-        return (reply if writable else None), Rejected(BAD_BATCH)
-    return reply, None
+    unless the reply is a 1-D uint64 batch of k width-n values, else None.
+    The batch is checked and recorded as a read-only copy of the prover's."""
+    batch = isinstance(reply, SampleBatch) and isinstance(reply.samples, np.ndarray)
+    n, samples = (reply.n, np.array(reply.samples)) if batch else (None, None)
+    if not fits_rows(samples, n):
+        return None, Rejected(BAD_BATCH)
+    samples.setflags(write=False)
+    fits = n == params.n and len(samples) == params.k
+    return SampleBatch(n, samples), (None if fits else Rejected(BAD_BATCH))
 
 
 def examples_drawn(params: VerifierParams, outcome: Outcome) -> tuple[int, int]:

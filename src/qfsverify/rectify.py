@@ -48,24 +48,10 @@ def list_cap(theta: float) -> int:
 
 
 def heavy_set(spec: FourierSpectrum, theta: float) -> set[int]:
-    """Exact heavy set {s : p0(s) >= theta} from a known spectrum (test oracle)."""
+    """Exact heavy set {s : p0(s) >= theta} from a known spectrum."""
     if not 0.0 < theta < 1.0:
         raise ValueError(f"theta must lie in (0, 1), got {theta}")
     return {int(s) for s, c in zip(spec.support, spec.coeffs) if c * c >= theta}
-
-
-def p_d_poly(eta: float, d: int) -> float:
-    """Probability bound for mismatching across Hamming distance d:
-    sum_{i=0}^{floor(d/2)} (1 - I(i = d/2)/2) C(d,i) eta^(d-i) (1-eta)^i."""
-    if not 0.0 < eta < 0.5:
-        raise ValueError(f"eta must lie in (0, 1/2), got {eta}")
-    if d < 1:
-        raise ValueError(f"d must be a positive integer, got {d}")
-    total = 0.0
-    for i in range(d // 2 + 1):
-        weight = 0.5 if 2 * i == d else 1.0
-        total += weight * math.comb(d, i) * eta ** (d - i) * (1.0 - eta) ** i
-    return total
 
 
 def _first_row(mask: np.ndarray) -> np.ndarray:

@@ -1,18 +1,89 @@
-"""Deterministic oracle suites behind the ``selftest`` subcommand.
-
-Everything here is exact or seeded: transform-vs-brute-force agreement,
-the mismatch-polynomial identities, the analytic noise oracles, the
-closed-form sample counts, and a hand-traced rectification run.
+"""Deterministic oracle suites behind the ``selftest`` subcommand, and the
+exact oracles they and the tests check against: coeff_bruteforce, p0_eff,
+analytic_noisy_dist and p_d_poly. Everything here is exact or seeded:
+transform-vs-brute-force agreement, the mismatch-polynomial identities, the
+analytic noise oracles, the closed-form sample counts, and a hand-traced
+rectification run.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .bits import format_bits
-from .boolfn import BooleanFunction, coeff_bruteforce, gen_ftau
-from .noise import analytic_noisy_dist, eta_eff, p0_eff
-from .rectify import p_d_poly, rectify, required_samples
+from .bits import CapacityError, check_value, check_width, format_bits, parity, popcount
+from .boolfn import BooleanFunction, gen_ftau
+from .noise import eta_eff
+from .rectify import rectify, required_samples
 from .spectral import examples_needed
+
+BRUTEFORCE_WIDTH_CAP = 16
+ANALYTIC_WIDTH_CAP = 12
+MASS_TOL = 1e-9
+
+
+def coeff_bruteforce(f: BooleanFunction, s: int) -> float:
+    """Direct-summation Fourier coefficient; the oracle the transform is tested against."""
+    if f.n > BRUTEFORCE_WIDTH_CAP:
+        raise CapacityError(f"brute force needs n <= {BRUTEFORCE_WIDTH_CAP}, got {f.n}")
+    check_value(s, f.n)
+    xs = np.arange(1 << f.n, dtype=np.uint64)
+    g = 1 - 2 * f.eval_many(xs).astype(np.int64)
+    chi = 1 - 2 * parity(xs & np.uint64(s)).astype(np.int64)
+    return float(np.sum(g * chi)) / float(1 << f.n)
+
+
+def _check_normalized(probs, what: str) -> None:
+    total = float(sum(probs))
+    if abs(total - 1.0) > MASS_TOL:
+        raise ValueError(f"{what} must sum to 1, got {total!r}")
+
+
+def p0_eff(p0: dict[int, float], eta: float) -> dict[int, float]:
+    """Mix a sparse distribution with the all-zeros point mass:
+    (1 - eta) * p0 + eta * delta_0."""
+    if not 0.0 <= eta <= 1.0:
+        raise ValueError(f"mixing weight must lie in [0, 1], got {eta}")
+    _check_normalized(p0.values(), "input distribution")
+    if eta == 0.0:
+        return dict(p0)
+    out = {s: (1.0 - eta) * p for s, p in p0.items()}
+    out[0] = out.get(0, 0.0) + eta
+    return out
+
+
+def analytic_noisy_dist(p0: dict[int, float], eta: float, n: int) -> np.ndarray:
+    """Exact binary-symmetric-channel convolution, dense over all 2^n strings.
+
+    Test oracle only: p_eta(s) = sum_s' eta^d(s,s') (1-eta)^(n-d(s,s')) p0(s').
+    """
+    check_width(n)
+    if n > ANALYTIC_WIDTH_CAP:
+        raise CapacityError(f"analytic oracle needs n <= {ANALYTIC_WIDTH_CAP}, got {n}")
+    if not 0.0 <= eta <= 1.0:
+        raise ValueError(f"flip probability must lie in [0, 1], got {eta}")
+    _check_normalized(p0.values(), "input distribution")
+    xs = np.arange(1 << n, dtype=np.uint64)
+    out = np.zeros(1 << n, dtype=np.float64)
+    for s_src, p in p0.items():
+        check_value(s_src, n)
+        d = popcount(xs ^ np.uint64(s_src)).astype(np.float64)
+        out += p * eta ** d * (1.0 - eta) ** (n - d)
+    return out
+
+
+def p_d_poly(eta: float, d: int) -> float:
+    """Probability bound for mismatching across Hamming distance d:
+    sum_{i=0}^{floor(d/2)} (1 - I(i = d/2)/2) C(d,i) eta^(d-i) (1-eta)^i."""
+    if not 0.0 < eta < 0.5:
+        raise ValueError(f"eta must lie in (0, 1/2), got {eta}")
+    if d < 1:
+        raise ValueError(f"d must be a positive integer, got {d}")
+    total = 0.0
+    for i in range(d // 2 + 1):
+        weight = 0.5 if 2 * i == d else 1.0
+        total += weight * math.comb(d, i) * eta ** (d - i) * (1.0 - eta) ** i
+    return total
 
 
 def check_spectrum_oracle() -> tuple[bool, str]:

@@ -52,9 +52,6 @@ class SparseEstimate:
     qfs_samples: int
     examples_used: int
 
-    def coeff(self, s: int) -> float:
-        return self.entries.get(int(s), 0.0)
-
 
 def sparse_estimate(spec: FourierSpectrum, channel: NoiseChannel, eps: float,
                     delta: float, rng: np.random.Generator) -> SparseEstimate:

@@ -16,11 +16,11 @@ pair, for block-flip), packed column by column with pack_rows; the masks
 of the channels' own flip_masks must follow its law. qfs_raw is one
 noise-free circuit shot, apply one channel use on one string through
 dense_flip_masks, and qfs_sample_noisy one shot-by-shot draw from the
-noisy conditional law, with its own physical depolarizing loop; the
-draws of oracles.sample_batch must follow the same law. physical_batch
-is the depolarizing batch drawn the physical way: it simulates shots (y
-= 1 w.p. 1/2 with s ~ p0, else 0^n), flips s and y, and keeps the shots
-whose noisy y is 1; sample_batch, which draws the equivalent mixture
+noisy conditional law; the draws of oracles.sample_batch must follow the
+same law. physical_batch, the one definition of the physical
+depolarizing law, simulates shots (y = 1 w.p. 1/2 with s ~ p0, else
+0^n), flips s and y, and keeps the shots whose noisy y is 1;
+sample_batch and qfs_sample_noisy, which draw the equivalent mixture
 (1 - eta_eff) p0 + eta_eff delta_0 instead, must match its law. hamming
 is the scalar distance nearest_match uses.
 """
@@ -165,44 +165,28 @@ class QfsRawOutcome:
     y: int
 
 
-def _raw(spec: FourierSpectrum, rng: np.random.Generator) -> QfsRawOutcome:
+def qfs_raw(spec: FourierSpectrum, rng: np.random.Generator) -> QfsRawOutcome:
+    """One noise-free circuit shot: y = 1 w.p. 1/2 with s ~ p0, else (0^n, 0)."""
     if rng.random() < 0.5:
         return QfsRawOutcome(int(draw_p0(spec, 1, rng)[0]), 1)
     return QfsRawOutcome(0, 0)
 
 
-def qfs_raw(spec: FourierSpectrum, rng: np.random.Generator) -> QfsRawOutcome:
-    """One noise-free circuit shot: y = 1 w.p. 1/2 with s ~ p0, else (0^n, 0)."""
-    return _raw(spec, rng)
-
-
 def qfs_sample_noisy(spec: FourierSpectrum, channel: NoiseChannel,
-                     rng: np.random.Generator, path: str = "effective") -> int:
+                     rng: np.random.Generator) -> int:
     """One sample from the noisy conditional law (conditioned on noisy y = 1).
 
     Bit-flip and block-flip channels leave y noiseless: raw shots are
     repeated until y = 1 and the channel is applied to s. Depolarization
-    offers two routes: the physical path flips s's bits and y itself with
-    eta_eff and conditions on the noisy y; the effective path (default)
-    draws from the equivalent mixture p0_eff and then flips bits.
+    draws from the equivalent mixture (1 - eta_eff) p0 + eta_eff delta_0
+    and then flips bits; physical_batch draws the same law the physical way.
     """
     n = spec.n
     if isinstance(channel, DepolarizingNoise):
-        if path == "physical":
-            eta = channel.eta_eff
-            for _ in range(SAFETY_STOP):
-                raw = _raw(spec, rng)
-                s = apply(channel, raw.s, n, rng)
-                y = raw.y ^ int(rng.random() < eta)
-                if y == 1:
-                    return s
-            raise RuntimeError("physical-path sampling exceeded the safety stop")
-        if path != "effective":
-            raise ValueError(f"unknown sampling path {path!r}")
         s = 0 if rng.random() < channel.eta_eff else int(draw_p0(spec, 1, rng)[0])
         return apply(channel, s, n, rng)
     for _ in range(SAFETY_STOP):
-        raw = _raw(spec, rng)
+        raw = qfs_raw(spec, rng)
         if raw.y == 1:
             return apply(channel, raw.s, n, rng)
     raise RuntimeError("raw sampling exceeded the safety stop")

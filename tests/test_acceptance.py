@@ -6,16 +6,16 @@ import numpy as np
 import pytest
 
 from conftest import empirical_counts, tv_distance
-from qfsverify.boolfn import BooleanFunction, coeff_bruteforce, gen_ftau
+from qfsverify.boolfn import BooleanFunction, gen_ftau
 from qfsverify.harness import ExperimentConfig, run_experiment
-from qfsverify.noise import (BitFlipNoise, BlockFlipNoise, DepolarizingNoise,
-                             analytic_noisy_dist)
+from qfsverify.noise import BitFlipNoise, BlockFlipNoise, DepolarizingNoise
 from qfsverify.oracles import sample_batch
 from qfsverify.protocol import (ADVERSARY_KINDS, VerifierParams, honest_prover,
                                 make_prover, protocol_trial, replay_transcript,
                                 verifier_run)
 from qfsverify.rectify import heavy_set, rectify, required_samples
-from qfsverify.selftest import PD_ETAS, check_pd_identities, check_sample_formulas
+from qfsverify.selftest import (PD_ETAS, analytic_noisy_dist, check_pd_identities,
+                                check_sample_formulas, coeff_bruteforce)
 from qfsverify.spectral import learn_parity, regret
 from reference import physical_batch
 

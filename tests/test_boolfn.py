@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from qfsverify.bits import CapacityError, format_bits, parse_bits
-from qfsverify.boolfn import (BooleanFunction, FourierSpectrum, GenerationError,
-                              coeff_bruteforce, fwht, gen_ftau, read_function,
-                              write_function)
+from qfsverify.boolfn import (BooleanFunction, FourierSpectrum, GenerationError, fwht,
+                              gen_ftau, read_function, write_function)
+from qfsverify.selftest import coeff_bruteforce
 from reference import hamming
 
 # Brute-force AND2 spectrum, computed by summing g(x) * chi_s(x) over all
@@ -31,13 +31,13 @@ def test_hamming_matches_naive():
 
 
 def test_eval_and2(and2):
-    assert and2.eval(0b11) == 1
-    assert [and2.eval(x) for x in range(4)] == [0, 0, 0, 1]
+    assert and2.eval_many(np.array([0b11]))[0] == 1
+    assert and2.eval_many(np.arange(4)).tolist() == [0, 0, 0, 1]
 
 
 def test_eval_constant_zero():
     f = BooleanFunction.dense(3, np.zeros(8, dtype=np.uint8))
-    assert all(f.eval(x) == 0 for x in range(8))
+    assert not f.eval_many(np.arange(8)).any()
 
 
 def test_junta_ignores_outside_coordinates():
@@ -55,8 +55,8 @@ def test_junta_ignores_outside_coordinates():
 
 
 def test_eval_rejects_out_of_range(and2):
-    with pytest.raises(ValueError):
-        and2.eval(4)
+    with pytest.raises(IndexError):  # a dense width-2 table has no entry 4
+        and2.eval_many(np.array([4]))
 
 
 def test_spectrum_and2(and2):
@@ -118,11 +118,11 @@ def test_spectrum_matches_bruteforce_everywhere(trial):
 
 def test_loss_identities(and2):
     spec = and2.spectrum()
-    assert spec.loss(0b00) == 0.25
-    assert spec.loss(0b11) == 0.75
+    assert (1 - spec.coeff(0b00)) / 2 == 0.25
+    assert (1 - spec.coeff(0b11)) / 2 == 0.75
     parity_spec = FourierSpectrum(2, {0b10: 1.0})
-    assert parity_spec.loss(0b10) == 0.0
-    assert parity_spec.loss(0b01) == 0.5  # outside the support
+    assert (1 - parity_spec.coeff(0b10)) / 2 == 0.0
+    assert (1 - parity_spec.coeff(0b01)) / 2 == 0.5  # outside the support
 
 
 def test_loss_equals_exhaustive_disagreement():
@@ -136,7 +136,7 @@ def test_loss_equals_exhaustive_disagreement():
         for s in rng.integers(0, 1 << n, size=8):
             hyp = np.bitwise_count(xs & np.uint64(s)) & 1
             disagreement = float(np.mean(hyp != fx))
-            assert spec.loss(int(s)) == disagreement  # both dyadic, exact
+            assert (1 - spec.coeff(int(s))) / 2 == disagreement  # both dyadic, exact
 
 
 def test_argmax_coeff_minimizes_loss():
@@ -145,21 +145,21 @@ def test_argmax_coeff_minimizes_loss():
         n = int(rng.integers(1, 9))
         f = BooleanFunction.dense(n, rng.integers(0, 2, size=1 << n, dtype=np.uint8))
         spec = f.spectrum()
-        losses = [spec.loss(s) for s in range(1 << n)]
+        losses = [(1 - spec.coeff(s)) / 2 for s in range(1 << n)]
         coeffs = [spec.coeff(s) for s in range(1 << n)]
         assert losses[int(np.argmax(coeffs))] == min(losses)
 
 
 def test_min_nonzero(and2):
-    assert and2.spectrum().min_nonzero() == 0.5
-    assert FourierSpectrum(2, {0b01: 1.0}).min_nonzero() == 1.0
+    assert np.abs(and2.spectrum().coeffs).min() == 0.5
+    assert np.abs(FourierSpectrum(2, {0b01: 1.0}).coeffs).min() == 1.0
 
 
 def test_min_nonzero_granularity_3junta():
     rng = np.random.default_rng(5)
     for _ in range(10):
         f = gen_ftau(6, 3, 0.25, rng)
-        m = f.spectrum().min_nonzero()
+        m = np.abs(f.spectrum().coeffs).min()
         assert m > 0 and (m * 4) == int(m * 4)  # integer multiple of 1/4
 
 
@@ -167,7 +167,7 @@ def test_gen_ftau_single_coordinate():
     rng = np.random.default_rng(6)
     for _ in range(20):
         f = gen_ftau(10, 1, 1.0, rng)
-        assert f.spectrum().min_nonzero() == 1.0
+        assert np.abs(f.spectrum().coeffs).min() == 1.0
 
 
 def test_gen_ftau_granularity_threshold():
@@ -175,14 +175,14 @@ def test_gen_ftau_granularity_threshold():
     rng = np.random.default_rng(8)
     for j in (1, 2, 3):
         f = gen_ftau(8, j, 2.0 ** (1 - j), rng)
-        assert f.spectrum().min_nonzero() >= 2.0 ** (1 - j)
+        assert np.abs(f.spectrum().coeffs).min() >= 2.0 ** (1 - j)
 
 
 def test_gen_ftau_every_2junta_qualifies_at_half():
     rng = np.random.default_rng(9)
     for _ in range(20):
         f = gen_ftau(16, 2, 0.5, rng)
-        assert f.spectrum().min_nonzero() >= 0.5
+        assert np.abs(f.spectrum().coeffs).min() >= 0.5
 
 
 def test_gen_ftau_infeasible_raises():

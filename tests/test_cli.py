@@ -19,8 +19,13 @@ def run_cli(*argv):
 
 def test_selftest_passes(capsys):
     assert run_cli("selftest") == 0
-    out = capsys.readouterr().out
-    assert out.count("PASS") == 5 and "FAIL" not in out
+    assert capsys.readouterr().out.splitlines() == [
+        "PASS spectrum-oracle: max |transform - direct sum| = 0",
+        "PASS pd-identities: P_d <= eta and P_2d = P_2d-1 for d in 1..25",
+        "PASS noise-oracles: eta_eff, p0_eff and convolution hand cases",
+        "PASS sample-formulas: required_samples/examples_needed = (18459, 369, 1293)",
+        "PASS rectify-trace: hand trace -> ['00', '11', '01']",
+    ]
 
 
 def test_gen_sample_rectify_pipeline(tmp_path, capsys):
@@ -176,6 +181,12 @@ def test_experiment_rejects_zero_trials(tmp_path, capsys):
     ("tau", {"tau": "x"}),
     ("function", {"function": ["target.fn"]}),
     ("out", {"out": ["records.jsonl"]}),
+    pytest.param("fucntion: unknown config field", {"fucntion": "/nonexistent.fn"},
+                 id="unknown-fucntion"),
+    pytest.param("outt: unknown config field", {"outt": "records.jsonl"}, id="unknown-outt"),
+    pytest.param("noise.etta: unknown config field",
+                 {"noise": {"model": "bitflip", "eta": 0.02, "etta": 0.3}},
+                 id="unknown-noise-etta"),
 ])
 def test_experiment_config_fault_names_its_field(tmp_path, capsys, field, fault):
     config = experiment_config(tmp_path, 3)

@@ -6,8 +6,9 @@ import pytest
 import qfsverify
 from conftest import chi_square_ok, empirical_counts, tv_distance
 from qfsverify.bits import CapacityError
-from qfsverify.noise import (BitFlipNoise, BlockFlipNoise, DepolarizingNoise,
-                             analytic_noisy_dist, eta_eff, make_channel, p0_eff)
+from qfsverify.noise import (BitFlipNoise, BlockFlipNoise, DepolarizingNoise, eta_eff,
+                             make_channel)
+from qfsverify.selftest import analytic_noisy_dist, p0_eff
 from reference import dense_flip_masks
 
 

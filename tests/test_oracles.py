@@ -5,9 +5,9 @@ import pytest
 
 from conftest import empirical_counts, tv_distance
 from qfsverify.boolfn import BooleanFunction, FourierSpectrum
-from qfsverify.noise import (BitFlipNoise, BlockFlipNoise, DepolarizingNoise,
-                             analytic_noisy_dist, p0_eff)
+from qfsverify.noise import BitFlipNoise, BlockFlipNoise, DepolarizingNoise
 from qfsverify.oracles import draw_examples, draw_p0, read_samples, sample_batch, write_samples
+from qfsverify.selftest import analytic_noisy_dist, p0_eff
 from reference import physical_batch, qfs_raw, qfs_sample_noisy
 
 
@@ -125,11 +125,12 @@ def test_scalar_depolarizing_paths(and2):
     spec = and2.spectrum()
     ch = DepolarizingNoise(0.2)
     rng = np.random.default_rng(12)
-    for path in ("effective", "physical"):
-        draws = np.array([qfs_sample_noisy(spec, ch, rng, path=path)
-                          for _ in range(20000)], dtype=np.uint64)
-        p0 = {int(s): float(c * c) for s, c in zip(spec.support, spec.coeffs)}
-        exact = analytic_noisy_dist(p0_eff(p0, ch.eta_eff), ch.eta_eff, 2)
+    effective = np.array([qfs_sample_noisy(spec, ch, rng) for _ in range(20000)],
+                         dtype=np.uint64)
+    physical = physical_batch(spec, ch, 20000, rng)
+    p0 = {int(s): float(c * c) for s, c in zip(spec.support, spec.coeffs)}
+    exact = analytic_noisy_dist(p0_eff(p0, ch.eta_eff), ch.eta_eff, 2)
+    for draws in (effective, physical):
         assert tv_distance(empirical_counts(draws, 2), exact) <= 0.02
 
 

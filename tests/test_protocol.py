@@ -316,6 +316,26 @@ def test_transcript_roundtrip_and_replay(tmp_path, and2_at16):
     assert replay_transcript(back, and2_at16) == outcome
 
 
+def test_a_prover_that_keeps_its_batch_cannot_change_the_transcript(tmp_path, and2_at16):
+    # the prover zeroes the batch it sent once the run is over
+    honest = honest_prover(and2_at16.spectrum(), BitFlipNoise(0.02),
+                           np.random.default_rng(12))
+    sent = []
+
+    def keeping_prover(req):
+        sent.append(honest(req))
+        return sent[-1]
+
+    outcome, transcript = verifier_run(params16(), and2_at16, keeping_prover, seed=321)
+    assert isinstance(outcome, Accepted)
+    before, after = tmp_path / "before.txt", tmp_path / "after.txt"
+    write_transcript(transcript, before)
+    sent[0].samples[:] = 0
+    write_transcript(transcript, after)
+    assert after.read_bytes() == before.read_bytes()
+    assert replay_transcript(transcript, and2_at16) == outcome
+
+
 def test_replay_reproduces_rejections(tmp_path, and2_at16):
     p = params16()
     prover = make_prover("uniform", and2_at16.spectrum(), BitFlipNoise(0.0),

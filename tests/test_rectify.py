@@ -11,8 +11,8 @@ from qfsverify.boolfn import FourierSpectrum, gen_ftau
 from qfsverify.noise import BitFlipNoise, BlockFlipNoise
 from qfsverify.oracles import sample_batch
 from qfsverify.protocol import VerifierParams
-from qfsverify.rectify import (heavy_set, list_cap, p_d_poly, rectify,
-                               required_samples)
+from qfsverify.rectify import heavy_set, list_cap, rectify, required_samples
+from qfsverify.selftest import p_d_poly
 from reference import nearest_match, rectify_dense, rectify_loop
 
 
