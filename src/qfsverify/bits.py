@@ -41,7 +41,7 @@ class CapacityError(ValueError):
 
 
 def check_width(n: int) -> int:
-    if not isinstance(n, (int, np.integer)) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"width must be a positive integer, got {n!r}")
     if n > MAX_WIDTH:
         raise CapacityError(f"width {n} exceeds the supported maximum {MAX_WIDTH}")
@@ -172,10 +172,6 @@ def parse_table(text: str) -> np.ndarray:
     if ((data | 1) != ord("1")).any():
         raise ValueError("a table must be a string of '0'/'1' characters")
     return data & np.uint8(1)
-
-
-def popcount(arr: np.ndarray) -> np.ndarray:
-    return np.bitwise_count(arr)
 
 
 def parity(arr: np.ndarray) -> np.ndarray:

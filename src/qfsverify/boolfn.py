@@ -84,6 +84,8 @@ class BooleanFunction:
 
     def eval_many(self, xs: np.ndarray) -> np.ndarray:
         xs = np.asarray(xs, dtype=np.uint64)
+        if xs.size and int(xs.max()) >> self.n:
+            raise ValueError(f"inputs must lie in [0, 2**{self.n})")
         return self.table[self._compress(xs)]
 
     def spectrum(self) -> "FourierSpectrum":
@@ -108,35 +110,48 @@ class BooleanFunction:
                 s |= 1 << (self.n - c)
         return s
 
-    def to_record(self) -> dict:
-        rec = {
-            "n": self.n,
-            "kind": "dense" if self.coords is None else "junta",
-            "table": format_table(self.table),
-        }
-        if self.coords is not None:
-            rec["coords"] = list(self.coords)
-        return rec
 
-    @classmethod
-    def from_record(cls, rec: dict) -> "BooleanFunction":
-        table = parse_table(rec["table"])
-        if rec["kind"] == "dense":
-            return cls.dense(rec["n"], table)
-        if rec["kind"] == "junta":
-            return cls.junta(rec["n"], rec["coords"], table)
-        raise ValueError(f"unknown function kind {rec['kind']!r}")
+# the fields of a function file, by kind, in the order they are written
+_FIELDS = {"dense": ("n", "kind", "table"), "junta": ("n", "kind", "table", "coords")}
 
 
 def write_function(f: BooleanFunction, path) -> None:
+    kind = "dense" if f.coords is None else "junta"
+    rec = {"n": f.n, "kind": kind, "table": format_table(f.table),
+           "coords": list(f.coords or ())}
     with open(path, "w") as fh:
-        json.dump(f.to_record(), fh)
+        json.dump({key: rec[key] for key in _FIELDS[kind]}, fh)
         fh.write("\n")
 
 
 def read_function(path) -> BooleanFunction:
+    """The function a write_function file holds; a fault names its field."""
     with open(path) as fh:
-        return BooleanFunction.from_record(json.load(fh))
+        rec = json.load(fh)
+    if not isinstance(rec, dict):
+        raise ValueError(f"function: must be a JSON object, got {type(rec).__name__}")
+    if "kind" not in rec:
+        raise ValueError("kind: missing required field")
+    kind = rec["kind"]
+    if not isinstance(kind, str) or kind not in _FIELDS:
+        raise ValueError(f"kind: must be one of {tuple(_FIELDS)}, got {kind!r}")
+    for key in rec:
+        if key not in _FIELDS[kind]:
+            raise ValueError(f"{key}: not a field of a {kind} function")
+    for key in _FIELDS[kind]:
+        if key not in rec:
+            raise ValueError(f"{key}: missing required field")
+    try:
+        n = check_width(rec["n"])
+    except ValueError as exc:
+        raise ValueError(f"n: {exc}") from None
+    table, coords = rec["table"], rec.get("coords")
+    if not isinstance(table, str) or table.strip("01"):
+        raise ValueError("table: must be a string of '0'/'1' characters")
+    if kind == "junta" and not (isinstance(coords, list)
+                                and all(type(c) is int for c in coords)):
+        raise ValueError(f"coords: must be a list of integers, got {coords!r}")
+    return BooleanFunction(n, parse_table(table), None if coords is None else tuple(coords))
 
 
 def fwht(values: np.ndarray) -> np.ndarray:
@@ -162,13 +177,15 @@ class FourierSpectrum:
     """Sparse map s -> g-hat(s); only nonzero coefficients are stored.
 
     The squared coefficients form the sampling distribution p0, so the
-    constructor enforces the Parseval identity within 1e-9.
+    constructor enforces the Parseval identity within 1e-9. ``support``
+    holds the support strings in increasing (lexicographic) order and
+    ``coeffs`` their coefficients, both as read-only arrays.
     """
 
     n: int
     entries: dict[int, float]
-    _support: np.ndarray = field(init=False, repr=False)
-    _coeffs: np.ndarray = field(init=False, repr=False)
+    support: np.ndarray = field(init=False, repr=False)
+    coeffs: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         check_width(self.n)
@@ -185,18 +202,9 @@ class FourierSpectrum:
         total = float(np.sum(coeffs * coeffs))
         if abs(total - 1.0) > PARSEVAL_TOL:
             raise ValueError(f"Parseval violation: sum of squares = {total!r}")
-        self._support = support
-        self._coeffs = coeffs
-
-    @property
-    def support(self) -> np.ndarray:
-        """Support strings in increasing (lexicographic) order."""
-        return self._support
-
-    @property
-    def coeffs(self) -> np.ndarray:
-        """Coefficients aligned with ``support``."""
-        return self._coeffs
+        support.setflags(write=False)
+        coeffs.setflags(write=False)
+        self.support, self.coeffs = support, coeffs
 
     def coeff(self, s: int) -> float:
         check_value(s, self.n)
@@ -204,7 +212,7 @@ class FourierSpectrum:
 
     def max_coeff(self) -> float:
         """max over all 2^n strings of g-hat(s), zeros off support included."""
-        m = float(np.max(self._coeffs))
+        m = float(np.max(self.coeffs))
         if len(self.entries) < (1 << self.n):
             m = max(m, 0.0)
         return m
@@ -213,7 +221,7 @@ class FourierSpectrum:
         """Recover f(x) = (1 - g(x)) / 2 by summing the sparse expansion."""
         xs = np.asarray(xs, dtype=np.uint64)
         g = np.zeros(xs.shape, dtype=np.float64)
-        for s, c in zip(self._support, self._coeffs):
+        for s, c in zip(self.support, self.coeffs):
             g += c * (1.0 - 2.0 * parity(xs & s))
         return (g < 0.0).astype(np.uint8)
 

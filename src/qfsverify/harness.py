@@ -14,7 +14,8 @@ from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 
-from .boolfn import BooleanFunction, FourierSpectrum, gen_ftau, read_function
+from .bits import check_width
+from .boolfn import DENSE_WIDTH_CAP, BooleanFunction, FourierSpectrum, gen_ftau, read_function
 from .noise import make_channel
 from .oracles import sample_batch
 from .protocol import (ADVERSARY_KINDS, HONEST, VerifierParams, examples_drawn,
@@ -23,8 +24,6 @@ from .rectify import heavy_set, rectify, required_samples
 from .spectral import argmax_estimate, regret, sparse_estimate
 
 MODES = ("rectify", "learn", "verify-complete", "verify-sound")
-_NUMBERS = {"n": int, "j": int, "tau": float, "eps": float, "delta": float,
-            "eta": float, "trials": int, "seed": int, "threads": int}
 _MASK64 = (1 << 64) - 1
 
 
@@ -49,11 +48,11 @@ def derive_seed(master: int, index: int) -> int:
     return z ^ (z >> 31)
 
 
-def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054
-                    ) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion (default 95%)."""
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """95% Wilson score interval for a binomial proportion."""
     if trials < 1:
         raise ValueError("trials must be positive")
+    z = 1.959963984540054  # the standard normal's 97.5% quantile
     phat = successes / trials
     z2 = z * z
     denom = 1.0 + z2 / trials
@@ -83,12 +82,17 @@ class ExperimentConfig:
     threads: int = 0
 
     def validate(self) -> None:
+        try:
+            check_width(self.n)
+        except ValueError as exc:
+            raise ValueError(f"n: {exc}") from None
         if self.mode not in MODES:
             raise ValueError(f"mode: expected one of {MODES}, got {self.mode!r}")
         if self.trials < 1:
             raise ValueError(f"trials: must be >= 1, got {self.trials}")
-        if not 1 <= self.j <= self.n:
-            raise ValueError(f"j: must satisfy 1 <= j <= n, got {self.j}")
+        if not 1 <= self.j <= min(self.n, DENSE_WIDTH_CAP):
+            raise ValueError(f"j: must satisfy 1 <= j <= min(n, {DENSE_WIDTH_CAP}), "
+                             f"got {self.j}")
         for name in ("tau", "eps", "delta"):
             v = getattr(self, name)
             if not 0.0 < v < 1.0:
@@ -131,7 +135,7 @@ class ExperimentConfig:
         for path, f in paths.items():
             key = ".".join(path)
             if path in given:
-                kind = _NUMBERS.get(f.name)
+                kind = {"int": int, "float": float}.get(f.type)  # annotations are strings here
                 values[f.name] = given[path] if kind is None else _number(key, given[path], kind)
             elif f.default is MISSING:
                 raise ValueError(f"{key}: missing required config field")

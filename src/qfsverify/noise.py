@@ -1,29 +1,42 @@
 """Noise channels on measured bit strings.
 
-Three channels are provided: independent bit flips of strength eta,
-depolarization reduced to its effective flip rate
-eta_eff = eta_dep - eta_dep^2 / 2, and a correlated block-flip family
-that flips disjoint adjacent bit pairs jointly.
+Every channel is a NoiseChannel of parameter eta whose ``strength`` is the
+rate at which it flips each unit: independent bit flips of strength eta,
+depolarization of strength eta reduced to its effective flip rate
+eta_eff(eta) = eta - eta^2 / 2, and a correlated block-flip family that
+flips disjoint adjacent bit pairs jointly.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .bits import check_width
 
 
-class _UnitFlips:
-    """flip_masks for channels flipping runs of ``_UNIT`` adjacent bits from bit 1
-    (the last may be shorter) independently with probability strength: the flipped
-    slots come from geometric gaps (Devroye 1986, ch. X), clipped so no sum wraps."""
+@dataclass(frozen=True)
+class NoiseChannel:
+    """A channel flipping runs of ``unit`` adjacent bits from bit 1 (the last
+    may be shorter) independently with probability strength; by default the
+    strength is the parameter eta < 1/2."""
 
-    _UNIT = 1
+    eta: float
+    unit = 1  # unannotated, so a class attribute and not a field
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.eta < 0.5:
+            raise ValueError(f"{type(self).__name__}: eta must lie in [0, 1/2), got {self.eta}")
+
+    @property
+    def strength(self) -> float:
+        return self.eta
 
     def flip_masks(self, n: int, count: int, rng: np.random.Generator) -> np.ndarray:
+        """count flip masks: the flipped slots come from geometric gaps
+        (Devroye 1986, ch. X), clipped so no sum wraps."""
         check_width(n)
-        u, p = self._UNIT, self.strength
+        u, p = self.unit, self.strength
         unit_masks = np.array([((1 << min(u, n - i)) - 1) << max(n - i - u, 0)
                                for i in range(0, n, u)], dtype=np.uint64)
         slots = count * len(unit_masks)
@@ -39,53 +52,32 @@ class _UnitFlips:
         return masks
 
 
-@dataclass(frozen=True)
-class _EtaFlips(_UnitFlips):
-    """A unit-flip channel whose strength is its parameter eta < 1/2."""
-
-    eta: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.eta < 0.5:
-            raise ValueError(f"{type(self).__name__}: eta must lie in [0, 1/2), got {self.eta}")
-
-    @property
-    def strength(self) -> float:
-        return self.eta
-
-
-class BitFlipNoise(_EtaFlips):
+class BitFlipNoise(NoiseChannel):
     """Independent per-bit flips with probability eta < 1/2."""
 
 
-@dataclass(frozen=True)
-class DepolarizingNoise(_UnitFlips):
-    """Depolarization of strength eta_dep on every measured qubit.
+class DepolarizingNoise(NoiseChannel):
+    """Depolarization of strength eta <= 1 on every measured qubit.
 
     At the outcome level each bit (the y readout included) flips with the
-    cached effective probability eta_eff = eta_dep - eta_dep^2 / 2.
+    effective probability strength = eta_eff(eta) = eta - eta^2 / 2.
     """
 
-    eta_dep: float
-    eta_eff: float = field(init=False)
-
     def __post_init__(self) -> None:
-        object.__setattr__(self, "eta_eff", eta_eff(self.eta_dep))
+        eta_eff(self.eta)  # eta must lie in [0, 1]
 
     @property
     def strength(self) -> float:
-        return self.eta_eff
+        return eta_eff(self.eta)
 
 
-class BlockFlipNoise(_EtaFlips):
+class BlockFlipNoise(NoiseChannel):
     """Correlated noise: disjoint adjacent pairs (1,2), (3,4), ... each flip
     jointly with probability eta, and an unpaired trailing bit alone, so
     every bit flips with probability eta."""
 
-    _UNIT = 2
+    unit = 2
 
-
-NoiseChannel = BitFlipNoise | DepolarizingNoise | BlockFlipNoise
 
 CHANNELS = {"bitflip": BitFlipNoise, "depolarizing": DepolarizingNoise,
             "blockflip": BlockFlipNoise}
@@ -99,8 +91,8 @@ def make_channel(model: str, eta: float) -> NoiseChannel:
     return cls(eta)
 
 
-def eta_eff(eta_dep: float) -> float:
-    """Effective flip rate of a depolarizing channel: eta_dep - eta_dep^2 / 2."""
-    if not 0.0 <= eta_dep <= 1.0:
-        raise ValueError(f"depolarizing strength must lie in [0, 1], got {eta_dep}")
-    return eta_dep - 0.5 * eta_dep * eta_dep
+def eta_eff(eta: float) -> float:
+    """Effective flip rate of a depolarizing channel of strength eta: eta - eta^2 / 2."""
+    if not 0.0 <= eta <= 1.0:
+        raise ValueError(f"depolarizing strength must lie in [0, 1], got {eta}")
+    return eta - 0.5 * eta * eta

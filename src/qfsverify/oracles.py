@@ -22,7 +22,6 @@ from .noise import DepolarizingNoise, NoiseChannel
 class ExampleBatch:
     """Random examples in packed array form."""
 
-    n: int
     xs: np.ndarray
     fxs: np.ndarray
 
@@ -34,7 +33,7 @@ def draw_examples(f, count: int, rng: np.random.Generator) -> ExampleBatch:
     if count < 1:
         raise ValueError(f"example count must be positive, got {count}")
     xs = random_words(rng, count, f.n)
-    return ExampleBatch(f.n, xs, f.eval_many(xs))
+    return ExampleBatch(xs, f.eval_many(xs))
 
 
 def draw_p0(spec: FourierSpectrum, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -49,15 +48,15 @@ def sample_batch(spec: FourierSpectrum, channel: NoiseChannel, count: int,
                  rng: np.random.Generator) -> np.ndarray:
     """count independent draws of s from the noisy circuit, conditioned on
     its noisy readout y = 1. Bit-flip and block-flip leave y noiseless, so s
-    is p0 XOR the channel's flip mask. Depolarization also flips y with
-    eta_eff, which makes s's law (1 - eta_eff) p0 + eta_eff delta_0 under
-    the flips; that mixture is drawn here, and the shot simulation that
+    is p0 XOR the channel's flip mask. Depolarization also flips y with its
+    strength e = eta_eff(eta), which makes s's law (1 - e) p0 + e delta_0
+    under the flips; that mixture is drawn here, and the shot simulation that
     keeps noisy y = 1 is tests/reference.py::physical_batch."""
     if count < 1:
         raise ValueError(f"sample count must be positive, got {count}")
     s = draw_p0(spec, count, rng)
     if isinstance(channel, DepolarizingNoise):
-        s = np.where(rng.random(count) < channel.eta_eff, np.uint64(0), s)
+        s = np.where(rng.random(count) < channel.strength, np.uint64(0), s)
     return s ^ channel.flip_masks(spec.n, count, rng)
 
 

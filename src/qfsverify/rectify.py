@@ -26,7 +26,7 @@ import math
 
 import numpy as np
 
-from .bits import check_width, fits_rows, popcount
+from .bits import check_width, fits_rows
 from .boolfn import FourierSpectrum
 
 
@@ -95,7 +95,7 @@ def rectify(samples, n: int, theta: float, rng: np.random.Generator) -> list[int
         # the parents' m - 1 bits; not uint16, whose np.bitwise_count is not vectorised
         word = np.uint8 if m <= 9 else np.uint32 if m <= 33 else np.uint64
         # d(c·b, q) = d(c, q >> 1) + [b != last bit of q]
-        dist = popcount(level[:, None].astype(word) ^ (group >> 1).astype(word))
+        dist = np.bitwise_count(level[:, None].astype(word) ^ (group >> 1).astype(word))
         near = dist == dist.min(axis=0)
         ways = near.sum(axis=0, dtype=np.min_scalar_type(len(level)))  # nearest parents per group
         tied = ways > 1

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .bits import CapacityError, check_value, check_width, format_bits, parity, popcount
+from .bits import CapacityError, check_value, check_width, format_bits, parity
 from .boolfn import BooleanFunction, gen_ftau
 from .noise import eta_eff
 from .rectify import rectify, required_samples
@@ -67,7 +67,7 @@ def analytic_noisy_dist(p0: dict[int, float], eta: float, n: int) -> np.ndarray:
     out = np.zeros(1 << n, dtype=np.float64)
     for s_src, p in p0.items():
         check_value(s_src, n)
-        d = popcount(xs ^ np.uint64(s_src)).astype(np.float64)
+        d = np.bitwise_count(xs ^ np.uint64(s_src)).astype(np.float64)
         out += p * eta ** d * (1.0 - eta) ** (n - d)
     return out
 

@@ -21,8 +21,8 @@ same law. physical_batch, the one definition of the physical
 depolarizing law, simulates shots (y = 1 w.p. 1/2 with s ~ p0, else
 0^n), flips s and y, and keeps the shots whose noisy y is 1;
 sample_batch and qfs_sample_noisy, which draw the equivalent mixture
-(1 - eta_eff) p0 + eta_eff delta_0 instead, must match its law. hamming
-is the scalar distance nearest_match uses.
+(1 - e) p0 + e delta_0 with e the channel's strength instead, must match
+its law. hamming is the scalar distance nearest_match uses.
 """
 from __future__ import annotations
 
@@ -30,8 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from qfsverify.bits import (RowError, check_value, check_width, fits_rows, parse_rows,
-                            popcount)
+from qfsverify.bits import RowError, check_value, check_width, fits_rows, parse_rows
 from qfsverify.boolfn import FourierSpectrum
 from qfsverify.noise import BlockFlipNoise, DepolarizingNoise, NoiseChannel
 from qfsverify.oracles import draw_p0
@@ -73,7 +72,7 @@ def _match_counts(prefixes: np.ndarray, cand: np.ndarray,
     counts = np.zeros(len(cand), dtype=np.int64)
     for lo in range(0, len(prefixes), _MATCH_CHUNK):
         chunk = prefixes[lo:lo + _MATCH_CHUNK]
-        dist = popcount(chunk[:, None] ^ cand[None, :])
+        dist = np.bitwise_count(chunk[:, None] ^ cand[None, :])
         is_min = dist == dist.min(axis=1, keepdims=True)
         choice = np.argmax(is_min, axis=1)
         ties = is_min.sum(axis=1)
@@ -178,12 +177,12 @@ def qfs_sample_noisy(spec: FourierSpectrum, channel: NoiseChannel,
 
     Bit-flip and block-flip channels leave y noiseless: raw shots are
     repeated until y = 1 and the channel is applied to s. Depolarization
-    draws from the equivalent mixture (1 - eta_eff) p0 + eta_eff delta_0
-    and then flips bits; physical_batch draws the same law the physical way.
+    draws from the equivalent mixture (1 - e) p0 + e delta_0, e the
+    channel's strength, and then flips bits; physical_batch draws the same law the physical way.
     """
     n = spec.n
     if isinstance(channel, DepolarizingNoise):
-        s = 0 if rng.random() < channel.eta_eff else int(draw_p0(spec, 1, rng)[0])
+        s = 0 if rng.random() < channel.strength else int(draw_p0(spec, 1, rng)[0])
         return apply(channel, s, n, rng)
     for _ in range(SAFETY_STOP):
         raw = qfs_raw(spec, rng)
@@ -196,7 +195,7 @@ def physical_batch(spec: FourierSpectrum, channel: DepolarizingNoise, count: int
                    rng: np.random.Generator) -> np.ndarray:
     """count draws of s conditioned on noisy y = 1, from simulated shots."""
     n = spec.n
-    eta = channel.eta_eff
+    eta = channel.strength
     chunks = []
     have = 0
     for _ in range(SAFETY_STOP):

@@ -55,8 +55,11 @@ def test_junta_ignores_outside_coordinates():
 
 
 def test_eval_rejects_out_of_range(and2):
-    with pytest.raises(IndexError):  # a dense width-2 table has no entry 4
+    with pytest.raises(ValueError):  # a dense width-2 table has no entry 4
         and2.eval_many(np.array([4]))
+    # a junta refuses a 21-bit input too, though its table would read one
+    with pytest.raises(ValueError):
+        BooleanFunction.junta(8, (3, 5), [0, 0, 0, 1]).eval_many([1 << 20 | 0b00101000])
 
 
 def test_spectrum_and2(and2):
@@ -244,3 +247,11 @@ def test_table_is_copied_not_aliased():
     view[0] = 1
     assert f.table.tolist() == [0, 0, 0, 1]
     assert not f.table.flags.writeable
+
+
+def test_spectrum_arrays_are_read_only(and2):
+    # draw_p0 samples from these arrays, so no caller may write into them
+    spec = and2.spectrum()
+    for arr in (spec.support, spec.coeffs):
+        with pytest.raises(ValueError):
+            arr[0] = arr[1]

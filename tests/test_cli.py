@@ -187,6 +187,8 @@ def test_experiment_rejects_zero_trials(tmp_path, capsys):
     pytest.param("noise.etta: unknown config field",
                  {"noise": {"model": "bitflip", "eta": 0.02, "etta": 0.3}},
                  id="unknown-noise-etta"),
+    pytest.param("n: width 100", {"n": 100}, id="n-over-max-width"),
+    pytest.param("j: ", {"n": 30, "j": 25}, id="j-over-dense-cap"),
 ])
 def test_experiment_config_fault_names_its_field(tmp_path, capsys, field, fault):
     config = experiment_config(tmp_path, 3)
@@ -194,6 +196,28 @@ def test_experiment_config_fault_names_its_field(tmp_path, capsys, field, fault)
     assert run_cli("experiment", "--config", config) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {field}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("field,record", [
+    pytest.param("function", [2, "dense", "0001"], id="list"),
+    pytest.param("kind", {"n": 2, "table": "0001"}, id="no-kind"),
+    pytest.param("tabel", {"n": 2, "kind": "dense", "table": "0001", "tabel": "0001"},
+                 id="unknown-key"),
+    pytest.param("coords", {"n": 2, "kind": "dense", "table": "0001", "coords": [1, 2]},
+                 id="coords-on-dense"),
+    pytest.param("n", {"n": True, "kind": "dense", "table": "01"}, id="n-true"),
+    pytest.param("table", {"n": 2, "kind": "dense", "table": 1}, id="table-int"),
+    pytest.param("coords", {"n": 4, "kind": "junta", "table": "0001", "coords": 3},
+                 id="coords-int"),
+])
+def test_function_file_fault_names_its_field(tmp_path, capsys, field, record):
+    fn = tmp_path / "f.fn"
+    fn.write_text(json.dumps(record))
+    assert run_cli("sample", "--function", fn, "--model", "bitflip", "--eta", 0.02,
+                   "--count", 10, "--seed", 1, "--out", tmp_path / "s.txt") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {field}: ") and captured.err.count("\n") == 1
 
 
 def test_missing_function_file_is_one_line_error(tmp_path, capsys):

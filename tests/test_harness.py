@@ -70,6 +70,27 @@ def test_config_integers_are_not_truncated(field, value):
         ExperimentConfig.from_dict(base_config(**{field: value}))
 
 
+def test_every_number_field_refuses_text():
+    # the coercion follows each field's declared type, so every int and float
+    # field, and no other, is checked as a number under its config path
+    paths = []
+    for f in dataclasses.fields(ExperimentConfig):
+        if f.type not in ("int", "float"):
+            continue
+        path = f.metadata.get("key", (f.name,))
+        doc = base_config()
+        if path[0] == "noise":
+            doc["noise"] = {**doc["noise"], path[1]: "x"}
+        else:
+            doc[path[0]] = "x"
+        what = "an integer" if f.type == "int" else "a number"
+        with pytest.raises(ValueError, match=f"^{'.'.join(path)}: must be {what}, got 'x'$"):
+            ExperimentConfig.from_dict(doc)
+        paths.append(".".join(path))
+    assert paths == ["n", "j", "tau", "eps", "delta", "noise.eta", "trials", "seed",
+                     "threads"]
+
+
 def test_trial_record_comparison_ignores_wall_clock():
     a = TrialRecord(0, 1, True, ms=1.0)
     b = TrialRecord(0, 1, True, ms=99.0)

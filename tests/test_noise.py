@@ -21,9 +21,9 @@ def test_eta_eff_values():
 
 
 def test_depolarizing_caches_eta_eff():
-    ch = DepolarizingNoise(0.1)
-    assert ch.eta_eff == pytest.approx(0.095, abs=1e-15)
-    assert ch.strength == ch.eta_eff
+    assert DepolarizingNoise(0.1).strength == eta_eff(0.1)
+    with pytest.raises(ValueError):
+        DepolarizingNoise(1.5)
 
 
 def test_channel_strength_bounds():

@@ -116,7 +116,7 @@ def test_depolarizing_paths_agree(and2_at16):
     eff = sample_batch(spec, ch, 2 * 10 ** 5, rng)
     phys = physical_batch(spec, ch, 2 * 10 ** 5, rng)
     p0 = {int(s): float(c * c) for s, c in zip(spec.support, spec.coeffs)}
-    exact = analytic_noisy_dist(p0_eff(p0, ch.eta_eff), ch.eta_eff, 8)
+    exact = analytic_noisy_dist(p0_eff(p0, ch.strength), ch.strength, 8)
     assert tv_distance(empirical_counts(eff, 8), exact) <= 0.01
     assert tv_distance(empirical_counts(phys, 8), exact) <= 0.01
 
@@ -129,7 +129,7 @@ def test_scalar_depolarizing_paths(and2):
                          dtype=np.uint64)
     physical = physical_batch(spec, ch, 20000, rng)
     p0 = {int(s): float(c * c) for s, c in zip(spec.support, spec.coeffs)}
-    exact = analytic_noisy_dist(p0_eff(p0, ch.eta_eff), ch.eta_eff, 2)
+    exact = analytic_noisy_dist(p0_eff(p0, ch.strength), ch.strength, 2)
     for draws in (effective, physical):
         assert tv_distance(empirical_counts(draws, 2), exact) <= 0.02
 

@@ -58,7 +58,7 @@ def test_estimate_coeffs_range_and_empty():
     vals = estimate_coeffs(range(8), batch)
     assert all(-1.0 <= v <= 1.0 for v in vals.values())
     with pytest.raises(ValueError):
-        estimate_coeffs([0], ExampleBatch(3, np.array([], dtype=np.uint64),
+        estimate_coeffs([0], ExampleBatch(np.array([], dtype=np.uint64),
                                           np.array([], dtype=np.uint8)))
 
 
@@ -68,7 +68,7 @@ def test_estimate_on_full_truth_table_is_bruteforce():
         n = int(rng.integers(1, 11))
         f = BooleanFunction.dense(n, rng.integers(0, 2, size=1 << n, dtype=np.uint8))
         xs = np.arange(1 << n, dtype=np.uint64)
-        batch = ExampleBatch(n, xs, f.eval_many(xs))
+        batch = ExampleBatch(xs, f.eval_many(xs))
         est = estimate_coeffs(range(1 << n), batch)
         for s in range(1 << n):
             assert est[s] == coeff_bruteforce(f, s)
