@@ -78,13 +78,14 @@ def format_bits(v: int, n: int) -> str:
     return format_rows([v], n)
 
 
-def fits_rows(values, n) -> bool:
-    """True when ``values`` is a nonempty 1-D uint64 array that format_rows
-    writes at width n, so that parse_rows reads it back."""
-    return (isinstance(values, np.ndarray) and values.dtype == np.uint64
-            and values.ndim == 1 and values.size > 0
-            and isinstance(n, (int, np.integer)) and 1 <= n <= MAX_WIDTH
-            and not int(values.max()) >> int(n))
+def check_rows(values, n: int) -> np.ndarray:
+    """``values`` when it is a nonempty 1-D uint64 array of width-n values,
+    which format_rows writes and parse_rows reads back; else ValueError."""
+    n = check_width(n)
+    if not (isinstance(values, np.ndarray) and values.dtype == np.uint64
+            and values.ndim == 1 and values.size and not int(values.max()) >> n):
+        raise ValueError(f"bit strings must be a nonempty 1-D uint64 array of width-{n} values")
+    return values
 
 
 def format_rows(values, n: int) -> str:
@@ -144,13 +145,11 @@ def parse_rows(text: str) -> tuple[np.ndarray, int]:
 
 
 def _words(values, n: int) -> np.ndarray:
-    """values as a uint64 array that fits_rows accepts (one max test)."""
+    """values as a uint64 array that check_rows accepts, or an empty one."""
     words = np.asarray(values)
     if words.size == 0 or words.dtype.kind in "biu" and words.min() >= 0:
         words = words.astype(np.uint64, copy=False)
-    if words.size and not fits_rows(words, n):
-        raise ValueError(f"bit strings must be a 1-D batch of integers in [0, 2**{n})")
-    return words
+    return check_rows(words, n) if words.size else words
 
 
 def _row_error(text: str, n: int) -> RowError:

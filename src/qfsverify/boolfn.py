@@ -9,7 +9,9 @@ with zero rounding error.
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -42,21 +44,22 @@ class BooleanFunction:
     def __post_init__(self) -> None:
         check_width(self.n)
         w = self.width
-        if w > DENSE_WIDTH_CAP:
-            raise CapacityError(f"table width {w} exceeds the dense cap {DENSE_WIDTH_CAP}")
+        if w > DENSE_WIDTH_CAP:  # a fault names the field it is in, as read_function's do
+            raise CapacityError(f"{'n' if self.coords is None else 'coords'}: table width "
+                                f"{w} exceeds the dense cap {DENSE_WIDTH_CAP}")
         table = np.array(self.table, dtype=np.uint8)  # a copy, never the caller's array
         if table.shape != (1 << w,):
-            raise ValueError(f"table must have {1 << w} entries, got {table.shape}")
+            raise ValueError(f"table: must have {1 << w} entries, got {table.shape}")
         if table.size and table.max() > 1:
-            raise ValueError("table entries must be 0 or 1")
+            raise ValueError("table: entries must be 0 or 1")
         table.setflags(write=False)
         object.__setattr__(self, "table", table)
         if self.coords is not None:
             coords = tuple(int(c) for c in self.coords)
             if any(c < 1 or c > self.n for c in coords):
-                raise ValueError(f"coordinates out of range 1..{self.n}: {coords}")
+                raise ValueError(f"coords: out of range 1..{self.n}: {coords}")
             if any(a >= b for a, b in zip(coords, coords[1:])) or not coords:
-                raise ValueError("coordinates must be strictly increasing and nonempty")
+                raise ValueError("coords: must be strictly increasing and nonempty")
             object.__setattr__(self, "coords", coords)
 
     @property
@@ -179,11 +182,12 @@ class FourierSpectrum:
     The squared coefficients form the sampling distribution p0, so the
     constructor enforces the Parseval identity within 1e-9. ``support``
     holds the support strings in increasing (lexicographic) order and
-    ``coeffs`` their coefficients, both as read-only arrays.
+    ``coeffs`` their coefficients, both as read-only arrays; ``entries``
+    becomes a read-only mapping of the same coefficients.
     """
 
     n: int
-    entries: dict[int, float]
+    entries: Mapping[int, float]
     support: np.ndarray = field(init=False, repr=False)
     coeffs: np.ndarray = field(init=False, repr=False)
 
@@ -191,7 +195,7 @@ class FourierSpectrum:
         check_width(self.n)
         if not self.entries:
             raise ValueError("a spectrum cannot be empty (Parseval forbids it)")
-        self.entries = {int(s): float(c) for s, c in self.entries.items()}
+        self.entries = MappingProxyType({int(s): float(c) for s, c in self.entries.items()})
         keys = sorted(self.entries)
         check_value(keys[0], self.n)
         check_value(keys[-1], self.n)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import (RowError, check_width, fits_rows, format_bits, format_rows,
+from .bits import (RowError, check_rows, check_width, format_bits, format_rows,
                    parse_bits, parse_rows, random_words)
 from .boolfn import BooleanFunction, FourierSpectrum, gen_ftau
 from .noise import NoiseChannel
@@ -97,12 +97,9 @@ class SampleRequest:
 
 
 @dataclass(eq=False)
-class SampleBatch:
+class SampleBatch:  # plain data: a prover's reply is judged as it was sent
     n: int
     samples: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.samples = np.asarray(self.samples, dtype=np.uint64)
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -264,18 +261,24 @@ def _omit_heaviest(spec: FourierSpectrum) -> FourierSpectrum:
     return FourierSpectrum(spec.n, {s: c / scale for s, c in rest.items()})
 
 
-def check_reply(reply, params: VerifierParams) -> tuple[SampleBatch | None, Rejected | None]:
-    """What a prover's reply earns: the batch a transcript records (None when
-    the wire format cannot carry the reply) and the rejection, BadBatch
-    unless the reply is a 1-D uint64 batch of k width-n values, else None.
-    The batch is checked and recorded as a read-only copy of the prover's."""
-    batch = isinstance(reply, SampleBatch) and isinstance(reply.samples, np.ndarray)
-    n, samples = (reply.n, np.array(reply.samples)) if batch else (None, None)
-    if not fits_rows(samples, n):
-        return None, Rejected(BAD_BATCH)
+def read_reply(reply) -> SampleBatch | None:
+    """The reply as the plain batch a run records, each field read once: an
+    int width and a read-only private copy that check_rows accepts, or None."""
+    try:  # the reply is untrusted, and reading it may run its own code
+        if not isinstance(reply, SampleBatch):
+            return None
+        n, samples = check_width(reply.n), np.array(reply.samples)
+        check_rows(samples, n)
+    except Exception:
+        return None
     samples.setflags(write=False)
-    fits = n == params.n and len(samples) == params.k
-    return SampleBatch(n, samples), (None if fits else Rejected(BAD_BATCH))
+    return SampleBatch(n, samples)
+
+
+def judge_batch(batch: SampleBatch | None, params: VerifierParams) -> Rejected | None:
+    """The rejection a plain batch earns: BadBatch unless it holds k width-n rows."""
+    fits = batch is not None and batch.n == params.n and len(batch) == params.k
+    return None if fits else Rejected(BAD_BATCH)
 
 
 def examples_drawn(params: VerifierParams, outcome: Outcome) -> tuple[int, int]:
@@ -293,19 +296,19 @@ def verifier_run(params: VerifierParams, f: BooleanFunction, prover,
     example draws) is derived from ``seed``, so a transcript replays
     bit-exactly against its recorded batch. The target function is used
     through the random example oracle only. A prover that raises is
-    rejected with ProverError; any other reply goes through check_reply.
-    A function of another width than ``params.n`` raises ValueError
-    before the prover is called.
+    rejected with ProverError; any other reply is read once as plain data
+    by read_reply and judged by judge_batch. A function of another width
+    than ``params.n`` raises ValueError before the prover is called.
     """
     if f.n != params.n:
         raise ValueError(f"function width {f.n} != verifier width n = {params.n}")
     rng = np.random.default_rng(seed)
-    try:
-        reply = prover(SampleRequest(params.k))
+    try:  # read_reply raises nothing, so an exception here is the prover's
+        recorded = read_reply(prover(SampleRequest(params.k)))
     except Exception:  # the prover is untrusted: its failure is a rejection
         recorded, outcome = None, Rejected(PROVER_ERROR)
     else:
-        recorded, outcome = check_reply(reply, params)
+        outcome = judge_batch(recorded, params)
     if outcome is None:
         candidates = rectify(recorded.samples, params.n, params.theta, rng)
         est2 = estimate_coeffs(candidates, draw_examples(f, params.kprime2, rng))
@@ -425,7 +428,7 @@ def read_transcript(path) -> Transcript:
     else:
         raise ParseError(lineno, f"malformed OUTCOME line {line!r}")
     reply = messages[1] if len(messages) == 2 else None
-    _, rejection = check_reply(reply, params)  # the outcomes a run can end in after it:
+    rejection = judge_batch(reply, params)  # the outcomes a run can end in after it:
     if rejection is None:
         fits = isinstance(outcome, Accepted) or outcome == Rejected(VALIDATION_FAILED)
     else:

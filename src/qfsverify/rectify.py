@@ -26,7 +26,7 @@ import math
 
 import numpy as np
 
-from .bits import check_width, fits_rows
+from .bits import check_rows, check_width
 from .boolfn import FourierSpectrum
 
 
@@ -75,11 +75,8 @@ def rectify(samples, n: int, theta: float, rng: np.random.Generator) -> list[int
         Candidate strings ordered by final match count (descending,
         ties by lexicographic order).
     """
-    check_width(n)
     cap = list_cap(theta)
-    samples = np.asarray(samples, dtype=np.uint64)
-    if not fits_rows(samples, n):
-        raise ValueError(f"samples must be a nonempty 1-d sequence of width-{n} values")
+    samples = check_rows(np.asarray(samples, dtype=np.uint64), n)
     ranked = np.sort(samples.astype(np.min_scalar_type((1 << n) - 1)))
     edge = np.flatnonzero(np.concatenate(([True], ranked[1:] != ranked[:-1], [True])))
     values = ranked[edge[:-1]]  # distinct, ascending: ranked[edge[i]:edge[i + 1]] holds values[i]

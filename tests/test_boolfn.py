@@ -250,8 +250,12 @@ def test_table_is_copied_not_aliased():
 
 
 def test_spectrum_arrays_are_read_only(and2):
-    # draw_p0 samples from these arrays, so no caller may write into them
+    # draw_p0 samples from these arrays, so no caller may write into them,
+    # nor into the mapping coeff reads, which would then disagree with them
     spec = and2.spectrum()
     for arr in (spec.support, spec.coeffs):
         with pytest.raises(ValueError):
             arr[0] = arr[1]
+    with pytest.raises(TypeError):
+        spec.entries[0b11] = 0.9
+    assert spec.coeff(0b11) == spec.coeffs[3] == -0.5

@@ -209,6 +209,13 @@ def test_experiment_config_fault_names_its_field(tmp_path, capsys, field, fault)
     pytest.param("table", {"n": 2, "kind": "dense", "table": 1}, id="table-int"),
     pytest.param("coords", {"n": 4, "kind": "junta", "table": "0001", "coords": 3},
                  id="coords-int"),
+    # checked by the BooleanFunction constructor, which names the same fields
+    pytest.param("table", {"n": 2, "kind": "dense", "table": "000"}, id="table-length"),
+    pytest.param("coords", {"n": 4, "kind": "junta", "table": "0001", "coords": [5, 6]},
+                 id="coords-out-of-range"),
+    pytest.param("coords", {"n": 4, "kind": "junta", "table": "0001", "coords": [2, 1]},
+                 id="coords-unordered"),
+    pytest.param("n", {"n": 30, "kind": "dense", "table": "0"}, id="n-over-dense-cap"),
 ])
 def test_function_file_fault_names_its_field(tmp_path, capsys, field, record):
     fn = tmp_path / "f.fn"

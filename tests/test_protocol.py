@@ -4,8 +4,10 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qfsverify.boolfn import FourierSpectrum, gen_ftau
+from qfsverify.boolfn import BooleanFunction, FourierSpectrum, gen_ftau
 from qfsverify.noise import BitFlipNoise, make_channel
 from qfsverify.protocol import (ADVERSARY_KINDS, BAD_BATCH, HONEST,
                                 PROVER_ERROR, VALIDATION_FAILED, Accepted,
@@ -180,8 +182,11 @@ def test_bad_batch_is_deterministic(tmp_path, and2_at16):
     def overflow_prover(req):  # values wider than n bits
         return SampleBatch(16, [1 << 20] * req.count)
 
+    def string_prover(req):  # a batch is judged as sent, not converted to uint64
+        return SampleBatch(16, ["not-a-bit-string"] * req.count)
+
     for prover in (short_prover, wrong_width_prover, rude_prover, column_prover,
-                   overflow_prover):
+                   overflow_prover, string_prover):
         outcome, transcript = verifier_run(p, and2_at16, prover, seed=123)
         assert outcome == Rejected(BAD_BATCH)
         path = tmp_path / "transcript.txt"
@@ -198,18 +203,123 @@ def test_prover_exception_is_rejected(tmp_path, and2_at16):
     def raising_prover(req):
         raise RuntimeError("prover crashed")
 
-    def string_prover(req):  # SampleBatch cannot convert these to uint64
-        return SampleBatch(16, ["not-a-bit-string"] * req.count)
+    outcome, transcript = verifier_run(p, and2_at16, raising_prover, seed=124)
+    assert outcome == Rejected(PROVER_ERROR)
+    assert transcript.reply is None
+    path = tmp_path / "transcript.txt"
+    write_transcript(transcript, path)
+    back = read_transcript(path)
+    assert back.outcome == Rejected(PROVER_ERROR)
+    assert replay_transcript(back, and2_at16) == outcome
 
-    for prover in (raising_prover, string_prover):
-        outcome, transcript = verifier_run(p, and2_at16, prover, seed=124)
-        assert outcome == Rejected(PROVER_ERROR)
-        assert transcript.reply is None
-        path = tmp_path / "transcript.txt"
-        write_transcript(transcript, path)
-        back = read_transcript(path)
-        assert back.outcome == Rejected(PROVER_ERROR)
-        assert replay_transcript(back, and2_at16) == outcome
+
+class _ReadOnce(SampleBatch):
+    """A batch whose samples raise when read a second time."""
+
+    @property
+    def samples(self):
+        if getattr(self, "_read", False):
+            raise RuntimeError("samples read twice")
+        self._read = True
+        return self._samples
+
+    @samples.setter
+    def samples(self, value):
+        self._samples = value
+
+
+class _Width(int):
+    """A width whose == raises."""
+
+    def __eq__(self, other):
+        raise RuntimeError("width compared")
+
+    __hash__ = int.__hash__
+
+
+class _RaisingWidth(SampleBatch):
+    """A batch whose n raises when read."""
+
+    @property
+    def n(self):
+        raise RuntimeError("width read")
+
+    @n.setter
+    def n(self, value):
+        pass
+
+
+def _assert_outcome_replays(p, f, reply, seed, path):
+    """verifier_run on a prover that sends ``reply`` ends in an Outcome whose
+    transcript records plain data and writes, reads back and replays to it."""
+    outcome, transcript = verifier_run(p, f, lambda req: reply, seed=seed)
+    assert isinstance(outcome, (Accepted, Rejected))
+    batch = transcript.reply
+    assert batch is None or (type(batch.n) is int and batch.samples.dtype == np.uint64
+                             and not batch.samples.flags.writeable)
+    write_transcript(transcript, path)
+    back = read_transcript(path)
+    assert back.outcome == outcome and back.reply == batch
+    assert replay_transcript(back, f) == outcome
+    return outcome
+
+
+@pytest.mark.parametrize("make,rejected", [
+    # check_width refuses a bool width, so the batch is not recorded
+    pytest.param(lambda zeros: SampleBatch(True, zeros), True, id="bool-width"),
+    # read once, these two are the constant adversary's batch: a full run
+    pytest.param(lambda zeros: _ReadOnce(16, zeros), False, id="samples-read-twice"),
+    pytest.param(lambda zeros: SampleBatch(_Width(16), zeros), False, id="width-eq-raises"),
+])
+def test_replies_read_once_end_in_an_outcome(tmp_path, and2_at16, make, rejected):
+    # each of these made verifier_run or write_transcript raise while the
+    # verifier read a reply's fields twice and held two width rules
+    p = params16()
+    zeros = np.zeros(p.k, dtype=np.uint64)
+    want = Rejected(BAD_BATCH) if rejected else verifier_run(
+        p, and2_at16, lambda req: SampleBatch(16, zeros), seed=125)[0]
+    assert _assert_outcome_replays(p, and2_at16, make(zeros), 125, tmp_path / "t.txt") == want
+
+
+# a width-8 verifier whose k (1,671 at tau 0.9) keeps a fuzzed run cheap
+_P8 = VerifierParams(n=8, tau=0.9, eps=0.45, delta=0.2)
+_F8 = BooleanFunction.junta(8, (3, 5), [0, 0, 0, 1])
+
+
+# each axis of a reply: the choices the verifier takes, then those it refuses
+_SHAPES = ([lambda k: (k,)], [lambda k: (0,), lambda k: (k - 1,), lambda k: (k + 1,),
+                              lambda k: (k, 1), lambda k: ()])
+_DTYPES = ([lambda v: v, lambda v: np.ma.masked_array(v, mask=v > 255)],
+           [lambda v: v.astype(np.int64), lambda v: v.astype(float), lambda v: v.astype(bool),
+            lambda v: v.astype(object), lambda v: v.astype(str), lambda v: v.tolist()])
+_WIDTHS = ([8, np.int64(8), _Width(8)], [7, True, np.bool_(True), 8.0, "8", 0, 65, 2 ** 100])
+
+
+@st.composite
+def _replies(draw):
+    # at most one axis is refused, so about one reply in ten is a full run;
+    # the reply's own class and non-batch objects vary on top of that
+    fault = draw(st.sampled_from(["none", "shape", "dtype", "value", "width"]))
+
+    def pick(name, axis):  # a refused choice on the fault's axis, else an accepted one
+        return draw(st.sampled_from(axis[fault == name]))
+
+    values = np.full(pick("shape", _SHAPES)(_P8.k), draw(st.integers(0, 255)), np.uint64)
+    if fault == "value" and values.size:  # a value wider than 8 bits
+        values.flat[draw(st.integers(0, values.size - 1))] = draw(
+            st.sampled_from([256, 1 << 63, (1 << 64) - 1]))
+    samples, n = pick("dtype", _DTYPES)(values), pick("width", _WIDTHS)
+    kind = draw(st.sampled_from([SampleBatch, _ReadOnce, _RaisingWidth, "other"]))
+    if kind != "other":
+        return kind(n, samples)
+    return draw(st.sampled_from([None, "BATCH", (n, samples), {"n": n, "samples": samples}]))
+
+
+@settings(deadline=None, max_examples=100)
+@given(_replies(), st.integers(0, 2 ** 32))
+def test_any_reply_ends_in_an_outcome_that_replays(tmp_path_factory, reply, seed):
+    path = tmp_path_factory.mktemp("fuzz") / "t.txt"
+    _assert_outcome_replays(_P8, _F8, reply, seed, path)
 
 
 def test_one_round_property(and2_at16):
