@@ -23,6 +23,7 @@ format_table and parse_table carry a truth table as one '0'/'1' string.
 """
 from __future__ import annotations
 
+import operator
 import re
 
 import numpy as np
@@ -46,6 +47,13 @@ def check_width(n: int) -> int:
     if n > MAX_WIDTH:
         raise CapacityError(f"width {n} exceeds the supported maximum {MAX_WIDTH}")
     return int(n)
+
+
+def check_fraction(name: str, v: float) -> float:
+    """v when it lies in the open interval (0, 1); else ValueError naming ``name``."""
+    if not 0.0 < v < 1.0:
+        raise ValueError(f"{name}: must lie in (0, 1), got {v}")
+    return v
 
 
 def check_value(v: int, n: int) -> int:
@@ -88,13 +96,25 @@ def check_rows(values, n: int) -> np.ndarray:
     return values
 
 
+def as_rows(values, n: int) -> np.ndarray:
+    """values as the uint64 array check_rows accepts: an unsigned or bool array
+    as it is, anything else value by value through operator.index (NumPy reads
+    ints on both sides of 2**63 as floats), so a float or negative one raises."""
+    if not (isinstance(values, np.ndarray) and values.dtype.kind in "bu"):
+        try:
+            values = np.fromiter(map(operator.index, values), np.uint64)
+        except (TypeError, OverflowError) as exc:
+            raise ValueError(f"bit strings must be non-negative integers: {exc}") from None
+    return check_rows(values.astype(np.uint64, copy=False), n)
+
+
 def format_rows(values, n: int) -> str:
-    """The values as width-n '0'/'1' rows joined by newlines."""
+    """The values as width-n '0'/'1' rows joined by newlines; no values, no text."""
     n = check_width(n)
-    words = _words(values, n)
-    k = len(words)
-    if k == 0:
+    if len(values) == 0:
         return ""
+    words = as_rows(values, n)
+    k = len(words)
     w = n + 1
     buf = np.empty(k * w, dtype=np.uint8)
     rows = buf.reshape(k, w)
@@ -142,14 +162,6 @@ def parse_rows(text: str) -> tuple[np.ndarray, int]:
     # row or the padding
     values >>= np.uint64(8 * q - n)
     return values, n
-
-
-def _words(values, n: int) -> np.ndarray:
-    """values as a uint64 array that check_rows accepts, or an empty one."""
-    words = np.asarray(values)
-    if words.size == 0 or words.dtype.kind in "biu" and words.min() >= 0:
-        words = words.astype(np.uint64, copy=False)
-    return check_rows(words, n) if words.size else words
 
 
 def _row_error(text: str, n: int) -> RowError:

@@ -15,8 +15,8 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .bits import (CapacityError, check_value, check_width, format_table, parity,
-                   parse_table)
+from .bits import (CapacityError, as_rows, check_value, check_width, format_table,
+                   parity, parse_table)
 
 DENSE_WIDTH_CAP = 24
 PARSEVAL_TOL = 1e-9
@@ -47,11 +47,12 @@ class BooleanFunction:
         if w > DENSE_WIDTH_CAP:  # a fault names the field it is in, as read_function's do
             raise CapacityError(f"{'n' if self.coords is None else 'coords'}: table width "
                                 f"{w} exceeds the dense cap {DENSE_WIDTH_CAP}")
-        table = np.array(self.table, dtype=np.uint8)  # a copy, never the caller's array
+        try:  # a 0/1 table is a width-1 row array; astype copies, never the caller's
+            table = as_rows(self.table, 1).astype(np.uint8)
+        except ValueError as exc:
+            raise ValueError(f"table: {exc}") from None
         if table.shape != (1 << w,):
             raise ValueError(f"table: must have {1 << w} entries, got {table.shape}")
-        if table.size and table.max() > 1:
-            raise ValueError("table: entries must be 0 or 1")
         table.setflags(write=False)
         object.__setattr__(self, "table", table)
         if self.coords is not None:
@@ -68,11 +69,11 @@ class BooleanFunction:
 
     @classmethod
     def dense(cls, n: int, table) -> "BooleanFunction":
-        return cls(n=n, table=np.asarray(table))
+        return cls(n=n, table=table)
 
     @classmethod
     def junta(cls, n: int, coords, table) -> "BooleanFunction":
-        return cls(n=n, table=np.asarray(table), coords=tuple(coords))
+        return cls(n=n, table=table, coords=tuple(coords))
 
     def _compress(self, xs: np.ndarray) -> np.ndarray:
         """Gather the relevant coordinates of packed inputs into table indices."""
@@ -85,11 +86,8 @@ class BooleanFunction:
             idx |= bit << np.uint64(j - 1 - i)
         return idx
 
-    def eval_many(self, xs: np.ndarray) -> np.ndarray:
-        xs = np.asarray(xs, dtype=np.uint64)
-        if xs.size and int(xs.max()) >> self.n:
-            raise ValueError(f"inputs must lie in [0, 2**{self.n})")
-        return self.table[self._compress(xs)]
+    def eval_many(self, xs) -> np.ndarray:
+        return self.table[self._compress(as_rows(xs, self.n))]
 
     def spectrum(self) -> "FourierSpectrum":
         """Exact sparse Fourier spectrum of g = 1 - 2f via a fast transform."""
@@ -195,12 +193,10 @@ class FourierSpectrum:
         check_width(self.n)
         if not self.entries:
             raise ValueError("a spectrum cannot be empty (Parseval forbids it)")
-        self.entries = MappingProxyType({int(s): float(c) for s, c in self.entries.items()})
-        keys = sorted(self.entries)
-        check_value(keys[0], self.n)
-        check_value(keys[-1], self.n)
-        support = np.array(keys, dtype=np.uint64)
-        coeffs = np.array([self.entries[int(s)] for s in support], dtype=np.float64)
+        support = np.sort(as_rows(list(self.entries), self.n))
+        keys = support.tolist()
+        coeffs = np.array([self.entries[s] for s in keys], dtype=np.float64)
+        self.entries = MappingProxyType(dict(zip(keys, coeffs.tolist())))
         if np.any(coeffs == 0.0):
             raise ValueError("stored coefficients must be nonzero")
         total = float(np.sum(coeffs * coeffs))
@@ -221,13 +217,19 @@ class FourierSpectrum:
             m = max(m, 0.0)
         return m
 
-    def eval_many(self, xs: np.ndarray) -> np.ndarray:
+    def eval_many(self, xs) -> np.ndarray:
         """Recover f(x) = (1 - g(x)) / 2 by summing the sparse expansion."""
-        xs = np.asarray(xs, dtype=np.uint64)
+        xs = as_rows(xs, self.n)
         g = np.zeros(xs.shape, dtype=np.float64)
         for s, c in zip(self.support, self.coeffs):
             g += c * (1.0 - 2.0 * parity(xs & s))
         return (g < 0.0).astype(np.uint8)
+
+
+def check_junta_size(j: int, n: int) -> None:
+    """The one junta-size rule, 1 <= j <= min(n, DENSE_WIDTH_CAP); a fault names j."""
+    if not 1 <= j <= min(n, DENSE_WIDTH_CAP):
+        raise ValueError(f"j: must satisfy 1 <= j <= min(n, {DENSE_WIDTH_CAP}), got {j}")
 
 
 def gen_ftau(n: int, j: int, tau: float, rng: np.random.Generator) -> BooleanFunction:
@@ -237,9 +239,7 @@ def gen_ftau(n: int, j: int, tau: float, rng: np.random.Generator) -> BooleanFun
     tables are rejection-sampled until the tau condition holds, giving up
     after 1000 consecutive rejections.
     """
-    check_width(n)
-    if not 1 <= j <= DENSE_WIDTH_CAP or j > n:
-        raise ValueError(f"junta size must satisfy 1 <= j <= min(n, {DENSE_WIDTH_CAP})")
+    check_junta_size(j, check_width(n))
     if not 0.0 < tau <= 1.0:
         raise ValueError(f"tau must lie in (0, 1], got {tau}")
     coords = tuple(sorted(int(c) + 1 for c in rng.choice(n, size=j, replace=False)))

@@ -106,7 +106,7 @@ def cmd_sample(args) -> int:
 def cmd_rectify(args) -> int:
     samples, n = read_samples(args.samples)
     found = rectify(samples, n, args.theta, np.random.default_rng(args.seed))
-    write_samples(np.array(found, dtype=np.uint64), n, args.out)
+    write_samples(found, n, args.out)
     print(json.dumps({"theta": args.theta, "k": len(samples),
                       "cap": list_cap(args.theta), "L_size": len(found)}))
     return 0

@@ -15,7 +15,7 @@ from dataclasses import MISSING, asdict, dataclass, field, fields
 import numpy as np
 
 from .bits import check_width
-from .boolfn import DENSE_WIDTH_CAP, BooleanFunction, FourierSpectrum, gen_ftau, read_function
+from .boolfn import BooleanFunction, FourierSpectrum, check_junta_size, gen_ftau, read_function
 from .noise import make_channel
 from .oracles import sample_batch
 from .protocol import (ADVERSARY_KINDS, HONEST, VerifierParams, examples_drawn,
@@ -90,13 +90,8 @@ class ExperimentConfig:
             raise ValueError(f"mode: expected one of {MODES}, got {self.mode!r}")
         if self.trials < 1:
             raise ValueError(f"trials: must be >= 1, got {self.trials}")
-        if not 1 <= self.j <= min(self.n, DENSE_WIDTH_CAP):
-            raise ValueError(f"j: must satisfy 1 <= j <= min(n, {DENSE_WIDTH_CAP}), "
-                             f"got {self.j}")
-        for name in ("tau", "eps", "delta"):
-            v = getattr(self, name)
-            if not 0.0 < v < 1.0:
-                raise ValueError(f"{name}: must lie in (0, 1), got {v}")
+        check_junta_size(self.j, self.n)
+        VerifierParams(n=self.n, tau=self.tau, eps=self.eps, delta=self.delta)
         if self.threads < 0:
             raise ValueError(f"threads: must be >= 0, got {self.threads}")
         for key, path in (("function", self.function_file), ("out", self.out)):

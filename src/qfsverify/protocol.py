@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import (RowError, check_rows, check_width, format_bits, format_rows,
-                   parse_bits, parse_rows, random_words)
+from .bits import (RowError, check_fraction, check_rows, check_width, format_bits,
+                   format_rows, parse_bits, parse_rows, random_words)
 from .boolfn import BooleanFunction, FourierSpectrum, gen_ftau
 from .noise import NoiseChannel
 from .oracles import draw_examples, sample_batch
@@ -53,9 +53,7 @@ class VerifierParams:
     def __post_init__(self) -> None:
         check_width(self.n)
         for name in ("tau", "eps", "delta"):
-            v = getattr(self, name)
-            if not 0.0 < v < 1.0:
-                raise ValueError(f"{name} must lie in (0, 1), got {v}")
+            check_fraction(name, getattr(self, name))
 
     @property
     def theta(self) -> float:
@@ -288,6 +286,14 @@ def examples_drawn(params: VerifierParams, outcome: Outcome) -> tuple[int, int]:
     return (params.kprime2 if outcome.reason == VALIDATION_FAILED else 0), 0
 
 
+def check_seed(seed: int) -> int:
+    """seed when it is a non-negative integer, as default_rng takes it; else
+    ValueError naming seed."""
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed: must be a non-negative integer, got {seed!r}")
+    return int(seed)
+
+
 def verifier_run(params: VerifierParams, f: BooleanFunction, prover,
                  seed: int) -> tuple[Outcome, Transcript]:
     """Execute the three verifier steps against a prover responder.
@@ -298,11 +304,12 @@ def verifier_run(params: VerifierParams, f: BooleanFunction, prover,
     through the random example oracle only. A prover that raises is
     rejected with ProverError; any other reply is read once as plain data
     by read_reply and judged by judge_batch. A function of another width
-    than ``params.n`` raises ValueError before the prover is called.
+    than ``params.n``, or a seed check_seed refuses, raises ValueError
+    before the prover is called.
     """
     if f.n != params.n:
         raise ValueError(f"function width {f.n} != verifier width n = {params.n}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed))
     try:  # read_reply raises nothing, so an exception here is the prover's
         recorded = read_reply(prover(SampleRequest(params.k)))
     except Exception:  # the prover is untrusted: its failure is a rejection
@@ -391,7 +398,7 @@ def read_transcript(path) -> Transcript:
     try:
         params = VerifierParams(n=int(fields["n"]), tau=float(fields["tau"]),
                                 eps=float(fields["eps"]), delta=float(fields["delta"]))
-        seed = int(fields["seed"])
+        seed = check_seed(int(fields["seed"]))
         counts = (int(fields["kprime2"]), int(fields["kprime3"]))
     except (KeyError, ValueError) as exc:
         raise ParseError(1, f"bad PARAMS header: {exc}") from None

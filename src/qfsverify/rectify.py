@@ -26,31 +26,26 @@ import math
 
 import numpy as np
 
-from .bits import check_rows, check_width
+from .bits import as_rows, check_fraction, check_width
 from .boolfn import FourierSpectrum
 
 
 def required_samples(n: int, theta: float, delta: float) -> int:
     """Smallest k for which 2n * exp(-k theta^2 / 200) <= delta."""
     check_width(n)
-    if not 0.0 < theta < 1.0:
-        raise ValueError(f"theta must lie in (0, 1), got {theta}")
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
+    check_fraction("theta", theta)
+    check_fraction("delta", delta)
     return math.ceil(200.0 / (theta * theta) * math.log(2.0 * n / delta))
 
 
 def list_cap(theta: float) -> int:
     """Size bound floor(2/theta) on the surviving candidate list."""
-    if not 0.0 < theta < 1.0:
-        raise ValueError(f"theta must lie in (0, 1), got {theta}")
-    return math.floor(2.0 / theta)
+    return math.floor(2.0 / check_fraction("theta", theta))
 
 
 def heavy_set(spec: FourierSpectrum, theta: float) -> set[int]:
     """Exact heavy set {s : p0(s) >= theta} from a known spectrum."""
-    if not 0.0 < theta < 1.0:
-        raise ValueError(f"theta must lie in (0, 1), got {theta}")
+    check_fraction("theta", theta)
     return {int(s) for s, c in zip(spec.support, spec.coeffs) if c * c >= theta}
 
 
@@ -65,7 +60,8 @@ def rectify(samples, n: int, theta: float, rng: np.random.Generator) -> list[int
     """Run the prefix-recovery recursion on noisy samples.
 
     Args:
-        samples: width-n sample values (sequence of ints or uint64 array).
+        samples: width-n sample values, a uint64 array or any integers
+            bits.as_rows converts; a float or wider value raises ValueError.
         n: bit width.
         theta: heaviness threshold on p0; the output has at most
             floor(2/theta) entries.
@@ -76,7 +72,7 @@ def rectify(samples, n: int, theta: float, rng: np.random.Generator) -> list[int
         ties by lexicographic order).
     """
     cap = list_cap(theta)
-    samples = check_rows(np.asarray(samples, dtype=np.uint64), n)
+    samples = as_rows(samples, n)
     ranked = np.sort(samples.astype(np.min_scalar_type((1 << n) - 1)))
     edge = np.flatnonzero(np.concatenate(([True], ranked[1:] != ranked[:-1], [True])))
     values = ranked[edge[:-1]]  # distinct, ascending: ranked[edge[i]:edge[i + 1]] holds values[i]

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import parity
+from .bits import check_fraction, parity
 from .boolfn import FourierSpectrum
 from .noise import NoiseChannel
 from .oracles import ExampleBatch, draw_examples, sample_batch
@@ -19,10 +19,8 @@ def examples_needed(m: int, eps: float, delta: float) -> int:
     (Hoeffding, union-bounded over a size-m support)."""
     if m < 1:
         raise ValueError(f"support size must be positive, got {m}")
-    if not 0.0 < eps < 1.0:
-        raise ValueError(f"eps must lie in (0, 1), got {eps}")
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
+    check_fraction("eps", eps)
+    check_fraction("delta", delta)
     return math.ceil(2.0 / (eps * eps) * math.log(2.0 * m / delta))
 
 
@@ -61,10 +59,8 @@ def sparse_estimate(spec: FourierSpectrum, channel: NoiseChannel, eps: float,
     Rectification runs at threshold eps^2 with failure budget delta/2;
     estimation union-bounds over the recovered list with budget delta/4.
     """
-    if not 0.0 < eps < 1.0:
-        raise ValueError(f"eps must lie in (0, 1), got {eps}")
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
+    check_fraction("eps", eps)
+    check_fraction("delta", delta)
     limit = eps * eps / 10.0
     if channel.strength > limit:
         raise ValueError(

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from qfsverify.bits import RowError, check_rows, check_value, check_width, parse_rows
+from qfsverify.bits import RowError, as_rows, check_value, check_width, parse_rows
 from qfsverify.boolfn import FourierSpectrum
 from qfsverify.noise import BlockFlipNoise, DepolarizingNoise, NoiseChannel
 from qfsverify.oracles import draw_p0
@@ -87,7 +87,7 @@ def _match_counts(prefixes: np.ndarray, cand: np.ndarray,
 def rectify_dense(samples, n: int, theta: float, rng: np.random.Generator) -> list[int]:
     """rectify with one distance row per sample at every level."""
     cap = list_cap(theta)
-    samples = np.sort(check_rows(np.asarray(samples, dtype=np.uint64), n))
+    samples = np.sort(as_rows(samples, n))
     level = np.zeros(1, dtype=np.uint64)  # the empty prefix
     for m in range(1, n + 1):
         cand = np.empty(2 * len(level), dtype=np.uint64)

@@ -60,6 +60,29 @@ def test_eval_rejects_out_of_range(and2):
     # a junta refuses a 21-bit input too, though its table would read one
     with pytest.raises(ValueError):
         BooleanFunction.junta(8, (3, 5), [0, 0, 0, 1]).eval_many([1 << 20 | 0b00101000])
+    # a spectrum refuses what its function refuses, and neither truncates a float
+    for f in (and2, and2.spectrum()):
+        for xs in ([1 << 20 | 0b11], [2.9, 3.2], np.array([2.9, 3.2]), [-1], ["1"]):
+            with pytest.raises(ValueError):
+                f.eval_many(xs)
+
+
+@pytest.mark.parametrize("table", [
+    [0.9, 0.2, 0, 1.5],  # no entry is rounded to 0 or 1
+    [0, 2, 0, 1],
+    [0, -1, 0, 1],
+    [[0, 0], [0, 1]],
+    [0, 0, 1],
+])
+def test_a_table_holds_exactly_its_0_1_entries(table):
+    with pytest.raises(ValueError, match="^table: "):
+        BooleanFunction.dense(2, table)
+
+
+@pytest.mark.parametrize("n,j", [(16, 0), (16, 17), (30, 25)])
+def test_junta_size_faults_name_j(n, j):
+    with pytest.raises(ValueError, match=r"^j: must satisfy 1 <= j <= min\(n, 24\)"):
+        gen_ftau(n, j, 0.5, np.random.default_rng(0))
 
 
 def test_spectrum_and2(and2):
@@ -198,6 +221,13 @@ def test_gen_ftau_infeasible_raises():
 def test_parseval_enforced():
     with pytest.raises(ValueError):
         FourierSpectrum(2, {0b01: 0.5})
+
+
+@pytest.mark.parametrize("entries", [{2.7: 1.0}, {1.0: 1.0}, {-1: 1.0}, {0b100: 1.0}])
+def test_a_spectrum_refuses_support_strings_it_would_truncate(entries):
+    # int() would read the key 2.7 as the string 10
+    with pytest.raises(ValueError):
+        FourierSpectrum(2, entries)
     with pytest.raises(ValueError):
         FourierSpectrum(2, {0b01: 1.0, 0b10: 0.0})
 

@@ -242,6 +242,15 @@ def test_verify_requires_params_or_replay(tmp_path, capsys, and2_at16):
     assert "error:" in capsys.readouterr().err
 
 
+def test_verify_refuses_a_negative_seed_by_name(tmp_path, capsys, and2_at16):
+    fn = tmp_path / "and2.fn"
+    write_function(and2_at16, fn)
+    assert run_cli("verify", "--function", fn, "--tau", 0.5, "--eps", 0.45, "--delta", 0.2,
+                   "--model", "bitflip", "--eta", 0.025, "--seed", -3) == 1
+    err = capsys.readouterr().err
+    assert err == "error: seed: must be a non-negative integer, got -3\n"
+
+
 def _choices(command: str, dest: str):
     sub = next(a for a in build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))

@@ -124,13 +124,20 @@ def test_every_byte_in_every_word_of_a_row_round_trips(n):
 
 
 def test_codec_rejects_values_and_widths_it_cannot_carry():
-    for values, n in (([1 << 20], 16), ([-1], 8), ([1.5], 3), ([[1]], 3)):
+    for values, n in (([1 << 20], 16), ([-1], 8), ([1.5], 3), ([[1]], 3),
+                      (np.array([2.9]), 2), (np.array([-1]), 8), (["1"], 1), ([1 << 64], 64)):
         with pytest.raises(ValueError):
             format_rows(values, n)
     for rows in ([], [""], ["0" * 65]):
         with pytest.raises(RowError) as err:
             parse_rows("\n".join(rows))
         assert err.value.row == 0
+
+
+def test_codec_reads_python_ints_on_both_sides_of_2_to_the_63_exactly():
+    # NumPy reads this list as float64, which would round the first value
+    values = [(1 << 64) - 1, 1]
+    assert format_rows(values, 64).split("\n") == ["1" * 64, "0" * 63 + "1"]
 
 
 def test_one_row_readers_refuse_a_second_row():
@@ -279,6 +286,18 @@ def test_outcomes_the_reply_cannot_earn_are_refused(tmp_path, reply, outcome):
     with pytest.raises(ParseError, match="cannot follow") as err:
         read_transcript(path)
     assert err.value.lineno == 3 + reply.count("\n")
+
+
+@pytest.mark.parametrize("field,value", [("seed", "-5"), ("tau", "1.5"), ("delta", "nan")])
+def test_a_bad_params_value_is_refused_on_line_1_by_name(tmp_path, field, value):
+    # else a negative seed reads back cleanly and fails only at replay, unnamed
+    header = re.sub(f" {field}=[^ ]+ ", f" {field}={value} ", _PARAMS2)
+    assert header != _PARAMS2
+    path = tmp_path / "t.txt"
+    path.write_text(header + "REQ 13102\nOUTCOME REJECT ProverError\n")
+    with pytest.raises(ParseError, match=f"^line 1: bad PARAMS header: {field}: ") as err:
+        read_transcript(path)
+    assert err.value.lineno == 1
 
 
 @pytest.mark.parametrize("key", ["n", "version"])

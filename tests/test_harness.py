@@ -9,6 +9,10 @@ from qfsverify import harness
 from qfsverify.boolfn import BooleanFunction, write_function
 from qfsverify.harness import (ExperimentConfig, TrialRecord, derive_seed,
                                run_experiment, run_trial, wilson_interval)
+from qfsverify.noise import BitFlipNoise
+from qfsverify.protocol import VerifierParams
+from qfsverify.rectify import heavy_set, list_cap, required_samples
+from qfsverify.spectral import examples_needed, sparse_estimate
 
 
 def base_config(**overrides):
@@ -59,6 +63,35 @@ def test_config_from_dict_and_validation():
     bad_noise = base_config(noise={"model": "bitflip", "eta": 0.7})
     with pytest.raises(ValueError):
         ExperimentConfig.from_dict(bad_noise)
+
+
+_AND2 = BooleanFunction.dense(2, [0, 0, 0, 1])
+# every caller that takes a fraction in (0, 1), and the field its fault names
+_FRACTIONS = {
+    "VerifierParams-tau": (lambda v: VerifierParams(n=16, tau=v, eps=0.45, delta=0.2), "tau"),
+    "VerifierParams-eps": (lambda v: VerifierParams(n=16, tau=0.5, eps=v, delta=0.2), "eps"),
+    "VerifierParams-delta": (lambda v: VerifierParams(n=16, tau=0.5, eps=0.45, delta=v),
+                             "delta"),
+    "required_samples-theta": (lambda v: required_samples(16, v, 0.2), "theta"),
+    "required_samples-delta": (lambda v: required_samples(16, 0.25, v), "delta"),
+    "list_cap-theta": (lambda v: list_cap(v), "theta"),
+    "heavy_set-theta": (lambda v: heavy_set(_AND2.spectrum(), v), "theta"),
+    "examples_needed-eps": (lambda v: examples_needed(8, v, 0.2), "eps"),
+    "examples_needed-delta": (lambda v: examples_needed(8, 0.45, v), "delta"),
+    "sparse_estimate-eps": (lambda v: sparse_estimate(
+        _AND2.spectrum(), BitFlipNoise(0.0), v, 0.2, np.random.default_rng(0)), "eps"),
+    "sparse_estimate-delta": (lambda v: sparse_estimate(
+        _AND2.spectrum(), BitFlipNoise(0.0), 0.45, v, np.random.default_rng(0)), "delta"),
+    **{f"config-{name}": (lambda v, name=name: ExperimentConfig.from_dict(
+        base_config(**{name: v})), name) for name in ("tau", "eps", "delta")},
+}
+
+
+@pytest.mark.parametrize("value", [0.0, 1.0, float("nan")])
+@pytest.mark.parametrize("call,field", _FRACTIONS.values(), ids=_FRACTIONS)
+def test_every_fraction_fault_names_its_field(call, field, value):
+    with pytest.raises(ValueError, match=rf"^{field}: must lie in \(0, 1\), got {value}$"):
+        call(value)
 
 
 @pytest.mark.parametrize("field,value", [

@@ -401,6 +401,21 @@ def test_constant_adversary_rejected_on_and2(and2_at16):
     assert rejected >= 18
 
 
+def test_constant_adversary_cannot_win_on_a_constant_one_target():
+    # g = -1, spectrum {0: -1}: the constant prover's batch is the true one,
+    # and its list [0] alone would accept 0 at regret 1/2 > eps. rectify pads
+    # the list with zero-count candidates up to the cap, whose estimates near
+    # 0 outrank -1, so every accept is correct.
+    f = BooleanFunction.junta(16, (1,), [1, 1])
+    spec = f.spectrum()
+    assert dict(spec.entries) == {0: -1.0}
+    for t in range(20):
+        prover = make_prover("constant", spec, BitFlipNoise(0.025),
+                             np.random.default_rng(t), j=1, tau=0.5)
+        trial = protocol_trial(params16(), f, prover, seed=900 + t, spec=spec)
+        assert trial.correct and not trial.wrong_accept, (t, trial)
+
+
 def test_rejected_is_never_wrong_accept(and2_at16):
     p = params16()
     prover = make_prover("constant", and2_at16.spectrum(), BitFlipNoise(0.0),

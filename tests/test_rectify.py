@@ -120,6 +120,9 @@ def test_rectify_rejects_degenerate_inputs():
         rectify([0b1], 4, 1.0, rng)
     with pytest.raises(ValueError):
         rectify([0b10000], 4, 0.5, rng)  # sample wider than n
+    for floats in ([1.5, 2.7, 2.2], np.array([1.5, 2.7, 2.2])):  # none is truncated
+        with pytest.raises(ValueError):
+            rectify(floats, 4, 0.5, rng)
 
 
 def test_heavy_set_examples(and2):
@@ -271,7 +274,8 @@ def test_rectify_is_order_invariant_with_ties(n, theta, seeds, data):
 def test_rectify_list_is_capped_and_distinct(n, theta, seed, data):
     samples = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=300))
     out = rectify(samples, n, theta, np.random.default_rng(seed))
-    assert len(out) <= list_cap(theta)
+    # zero-count candidates pad the list to the cap (or to all 2**n strings)
+    assert len(out) == min(list_cap(theta), 2 ** n)
     assert len(set(out)) == len(out)
 
 
