@@ -42,10 +42,12 @@ class CapacityError(ValueError):
 
 
 def check_width(n: int) -> int:
+    """n as an int when it is a width in 1..MAX_WIDTH; else ValueError naming
+    n, the name every caller gives a width."""
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError(f"width must be a positive integer, got {n!r}")
+        raise ValueError(f"n: must be a positive integer, got {n!r}")
     if n > MAX_WIDTH:
-        raise CapacityError(f"width {n} exceeds the supported maximum {MAX_WIDTH}")
+        raise CapacityError(f"n: width {n} exceeds the supported maximum {MAX_WIDTH}")
     return int(n)
 
 
@@ -173,16 +175,19 @@ def _row_error(text: str, n: int) -> RowError:
 
 
 def format_table(bits) -> str:
-    """A 0/1 array as one '0'/'1' string, one character per entry."""
-    return (np.asarray(bits, dtype=np.uint8) | ord("0")).tobytes().decode("ascii")
+    """A 0/1 array as one '0'/'1' string, one character per entry, read
+    through as_rows at width 1, so any other entry raises ValueError."""
+    if len(bits) == 0:
+        return ""
+    return (as_rows(bits, 1).astype(np.uint8) | ord("0")).tobytes().decode("ascii")
 
 
 def parse_table(text: str) -> np.ndarray:
-    """The uint8 0/1 array of a '0'/'1' string; other characters raise ValueError."""
-    data = np.frombuffer(text.encode("ascii", "replace"), dtype=np.uint8)
-    if ((data | 1) != ord("1")).any():
-        raise ValueError("a table must be a string of '0'/'1' characters")
-    return data & np.uint8(1)
+    """The uint8 0/1 array of a '0'/'1' string; anything else raises
+    ValueError naming the table."""
+    if not isinstance(text, str) or text.strip("01"):
+        raise ValueError("table: must be a string of '0'/'1' characters")
+    return np.frombuffer(text.encode("ascii"), dtype=np.uint8) & np.uint8(1)
 
 
 def parity(arr: np.ndarray) -> np.ndarray:

@@ -43,8 +43,19 @@ class BooleanFunction:
 
     def __post_init__(self) -> None:
         check_width(self.n)
+        if self.coords is not None:  # checked before width counts them
+            if not (isinstance(self.coords, (list, tuple)) and all(
+                    isinstance(c, (int, np.integer)) and not isinstance(c, bool)
+                    for c in self.coords)):
+                raise ValueError(f"coords: must be a list of integers, got {self.coords!r}")
+            coords = tuple(map(int, self.coords))
+            if any(c < 1 or c > self.n for c in coords):
+                raise ValueError(f"coords: out of range 1..{self.n}: {coords}")
+            if any(a >= b for a, b in zip(coords, coords[1:])) or not coords:
+                raise ValueError("coords: must be strictly increasing and nonempty")
+            object.__setattr__(self, "coords", coords)
         w = self.width
-        if w > DENSE_WIDTH_CAP:  # a fault names the field it is in, as read_function's do
+        if w > DENSE_WIDTH_CAP:  # a fault names the field it is in
             raise CapacityError(f"{'n' if self.coords is None else 'coords'}: table width "
                                 f"{w} exceeds the dense cap {DENSE_WIDTH_CAP}")
         try:  # a 0/1 table is a width-1 row array; astype copies, never the caller's
@@ -55,13 +66,6 @@ class BooleanFunction:
             raise ValueError(f"table: must have {1 << w} entries, got {table.shape}")
         table.setflags(write=False)
         object.__setattr__(self, "table", table)
-        if self.coords is not None:
-            coords = tuple(int(c) for c in self.coords)
-            if any(c < 1 or c > self.n for c in coords):
-                raise ValueError(f"coords: out of range 1..{self.n}: {coords}")
-            if any(a >= b for a, b in zip(coords, coords[1:])) or not coords:
-                raise ValueError("coords: must be strictly increasing and nonempty")
-            object.__setattr__(self, "coords", coords)
 
     @property
     def width(self) -> int:
@@ -73,7 +77,7 @@ class BooleanFunction:
 
     @classmethod
     def junta(cls, n: int, coords, table) -> "BooleanFunction":
-        return cls(n=n, table=table, coords=tuple(coords))
+        return cls(n=n, table=table, coords=coords)
 
     def _compress(self, xs: np.ndarray) -> np.ndarray:
         """Gather the relevant coordinates of packed inputs into table indices."""
@@ -126,7 +130,9 @@ def write_function(f: BooleanFunction, path) -> None:
 
 
 def read_function(path) -> BooleanFunction:
-    """The function a write_function file holds; a fault names its field."""
+    """The function a write_function file holds. Only the record's shape is
+    checked here (a JSON object, its kind, its keys, null as missing);
+    parse_table and the constructor judge each field and name it."""
     with open(path) as fh:
         rec = json.load(fh)
     if not isinstance(rec, dict):
@@ -140,19 +146,9 @@ def read_function(path) -> BooleanFunction:
         if key not in _FIELDS[kind]:
             raise ValueError(f"{key}: not a field of a {kind} function")
     for key in _FIELDS[kind]:
-        if key not in rec:
+        if rec.get(key) is None:
             raise ValueError(f"{key}: missing required field")
-    try:
-        n = check_width(rec["n"])
-    except ValueError as exc:
-        raise ValueError(f"n: {exc}") from None
-    table, coords = rec["table"], rec.get("coords")
-    if not isinstance(table, str) or table.strip("01"):
-        raise ValueError("table: must be a string of '0'/'1' characters")
-    if kind == "junta" and not (isinstance(coords, list)
-                                and all(type(c) is int for c in coords)):
-        raise ValueError(f"coords: must be a list of integers, got {coords!r}")
-    return BooleanFunction(n, parse_table(table), None if coords is None else tuple(coords))
+    return BooleanFunction(rec["n"], parse_table(rec["table"]), rec.get("coords"))
 
 
 def fwht(values: np.ndarray) -> np.ndarray:

@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -17,7 +18,7 @@ from .boolfn import gen_ftau, read_function, write_function
 from .harness import ExperimentConfig, derive_seed, run_experiment
 from .noise import CHANNELS, make_channel
 from .oracles import read_samples, sample_batch, write_samples
-from .protocol import (ADVERSARY_KINDS, HONEST, Accepted, VerifierParams,
+from .protocol import (ADVERSARY_KINDS, HONEST, Accepted, VerifierParams, check_seed,
                        make_prover, read_transcript, replay_transcript,
                        verifier_run, write_transcript)
 from .rectify import list_cap, rectify
@@ -86,8 +87,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _rng(args) -> np.random.Generator:
+    """The generator of --seed, taken by the seed rule verify applies too."""
+    return np.random.default_rng(check_seed(args.seed))
+
+
 def cmd_gen(args) -> int:
-    f = gen_ftau(args.n, args.j, args.tau, np.random.default_rng(args.seed))
+    f = gen_ftau(args.n, args.j, args.tau, _rng(args))
     write_function(f, args.out)
     print(f"wrote {args.out}: n={f.n} coords={list(f.coords)}")
     return 0
@@ -97,7 +103,7 @@ def cmd_sample(args) -> int:
     f = read_function(args.function)
     spec = f.spectrum()
     channel = make_channel(args.model, args.eta)
-    samples = sample_batch(spec, channel, args.count, np.random.default_rng(args.seed))
+    samples = sample_batch(spec, channel, args.count, _rng(args))
     write_samples(samples, f.n, args.out)
     print(f"wrote {args.count} samples to {args.out}")
     return 0
@@ -105,7 +111,7 @@ def cmd_sample(args) -> int:
 
 def cmd_rectify(args) -> int:
     samples, n = read_samples(args.samples)
-    found = rectify(samples, n, args.theta, np.random.default_rng(args.seed))
+    found = rectify(samples, n, args.theta, _rng(args))
     write_samples(found, n, args.out)
     print(json.dumps({"theta": args.theta, "k": len(samples),
                       "cap": list_cap(args.theta), "L_size": len(found)}))
@@ -116,8 +122,7 @@ def cmd_learn(args) -> int:
     f = read_function(args.function)
     spec = f.spectrum()
     channel = make_channel(args.model, args.eta)
-    s0 = learn_parity(spec, channel, args.eps, args.delta,
-                      np.random.default_rng(args.seed))
+    s0 = learn_parity(spec, channel, args.eps, args.delta, _rng(args))
     print(json.dumps({"s0": format_bits(s0, f.n), "regret": regret(spec, s0)}))
     return 0
 
@@ -167,15 +172,10 @@ def _outcome_record(outcome, n: int) -> dict:
 
 
 def cmd_experiment(args) -> int:
-    cfg = ExperimentConfig.from_file(args.config)
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.trials is not None:
-        cfg.trials = args.trials
-    if args.out is not None:
-        cfg.out = args.out
-    if args.threads is not None:
-        cfg.threads = args.threads
+    overrides = {key: value for key in ("seed", "trials", "out", "threads")
+                 if (value := getattr(args, key)) is not None}
+    # replace builds a new config, checked by the rule the file's config passed
+    cfg = replace(ExperimentConfig.from_file(args.config), **overrides)
     summary, _ = run_experiment(cfg)
     print(json.dumps({"mode": cfg.mode, "trials": summary.trials,
                       "successes": summary.successes,

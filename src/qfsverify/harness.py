@@ -14,12 +14,11 @@ from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 
-from .bits import check_width
 from .boolfn import BooleanFunction, FourierSpectrum, check_junta_size, gen_ftau, read_function
 from .noise import make_channel
 from .oracles import sample_batch
-from .protocol import (ADVERSARY_KINDS, HONEST, VerifierParams, examples_drawn,
-                       make_prover, protocol_trial)
+from .protocol import (ADVERSARY_KINDS, HONEST, VerifierParams, check_seed,
+                       examples_drawn, make_prover, protocol_trial)
 from .rectify import heavy_set, rectify, required_samples
 from .spectral import argmax_estimate, regret, sparse_estimate
 
@@ -61,8 +60,10 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     return (center - half) / denom, (center + half) / denom
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
+    """One experiment, checked as it is built (dataclasses.replace too)."""
+
     mode: str
     n: int
     j: int
@@ -81,17 +82,14 @@ class ExperimentConfig:
     # it selects nothing yet, trials run in the calling thread
     threads: int = 0
 
-    def validate(self) -> None:
-        try:
-            check_width(self.n)
-        except ValueError as exc:
-            raise ValueError(f"n: {exc}") from None
+    def __post_init__(self) -> None:
+        VerifierParams(n=self.n, tau=self.tau, eps=self.eps, delta=self.delta)
         if self.mode not in MODES:
             raise ValueError(f"mode: expected one of {MODES}, got {self.mode!r}")
         if self.trials < 1:
             raise ValueError(f"trials: must be >= 1, got {self.trials}")
         check_junta_size(self.j, self.n)
-        VerifierParams(n=self.n, tau=self.tau, eps=self.eps, delta=self.delta)
+        check_seed(self.seed)
         if self.threads < 0:
             raise ValueError(f"threads: must be >= 0, got {self.threads}")
         for key, path in (("function", self.function_file), ("out", self.out)):
@@ -134,9 +132,7 @@ class ExperimentConfig:
                 values[f.name] = given[path] if kind is None else _number(key, given[path], kind)
             elif f.default is MISSING:
                 raise ValueError(f"{key}: missing required config field")
-        cfg = cls(**values)
-        cfg.validate()
-        return cfg
+        return cls(**values)
 
 
 @dataclass
@@ -229,7 +225,6 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[Summary, list[TrialRecord]]:
     For verify-sound configs the reported fraction counts wrong accepts;
     every other mode counts its success criterion.
     """
-    cfg.validate()
     fixed = read_function(cfg.function_file) if cfg.function_file else None
     if fixed is not None and fixed.n != cfg.n:
         raise ValueError(f"function: file width {fixed.n} != config n {cfg.n}")

@@ -5,7 +5,8 @@ Ground truth may be a BooleanFunction or a FourierSpectrum; both expose
 ``n`` and vectorized evaluation. Every sampler draws a batch at once by
 one route; the shot-by-shot loops that define their laws, and the
 physical depolarizing batch that sample_batch's mixture must match, are
-test oracles in tests/reference.py.
+test oracles in tests/reference.py. A sample dump is read by the one
+grammar it is written in: one parse_rows block, nothing normalised.
 """
 from __future__ import annotations
 
@@ -61,28 +62,21 @@ def sample_batch(spec: FourierSpectrum, channel: NoiseChannel, count: int,
 
 
 def write_samples(samples: np.ndarray, n: int, path) -> None:
-    """One '0'/'1' string of length n per line."""
-    text = format_rows(samples, n)
+    """One '0'/'1' string of length n per line, at least one line: an empty
+    file has no first row to give read_samples the width."""
+    if len(samples) == 0:
+        raise ValueError("a sample dump needs at least one sample")
     with open(path, "w") as fh:
-        fh.write(text + "\n" if text else "")
+        fh.write(format_rows(samples, n) + "\n")
 
 
 def read_samples(path) -> tuple[np.ndarray, int]:
-    """(values, n) of a sample dump. A dump as write_samples writes it
-    parses whole; any other is read as its nonblank lines, each with its
-    whitespace runs collapsed to one space, and a fault names its line
-    number. Collapsing changes no line of a dump that parses whole."""
+    """(values, n) of a sample dump exactly as write_samples writes it, its
+    final newline optional (text-mode open reads CRLF line ends as LF); a
+    fault names its line number."""
     with open(path) as fh:
         text = fh.read()
     try:
         return parse_rows(text.removesuffix("\n"))
-    except RowError:
-        pass
-    rows = [" ".join(line.split()) for line in text.split("\n")]
-    linenos = [i for i, row in enumerate(rows, 1) if row]
-    if not linenos:
-        raise ValueError("sample file is empty")
-    try:
-        return parse_rows("\n".join(rows[i - 1] for i in linenos))
     except RowError as exc:
-        raise ValueError(f"line {linenos[exc.row]}: {exc.reason}") from None
+        raise ValueError(f"line {exc.row + 1}: {exc.reason}") from None

@@ -364,6 +364,35 @@ def protocol_trial(params: VerifierParams, f: BooleanFunction, prover, seed: int
     return ProtocolTrial(outcome, False, False, math.nan)
 
 
+def _outcome_line(outcome: Outcome, n: int) -> str:
+    """The OUTCOME line of a transcript; read_transcript takes no other."""
+    if isinstance(outcome, Accepted):
+        return f"OUTCOME ACCEPT {format_bits(outcome.s0, n)}"
+    if outcome.reason not in REJECT_REASONS:
+        raise ValueError(f"unknown rejection reason {outcome.reason!r}")
+    return f"OUTCOME REJECT {outcome.reason}"
+
+
+_DECIMAL = re.compile(r"0|[1-9][0-9]*")  # the wire header's digits, or 0
+
+
+def _param(fields: dict[str, str], key: str, kind: type):
+    """PARAMS field ``key`` as kind when it is written as write_transcript
+    writes it: an int in plain decimal (no sign, separator or leading
+    zero), a float as its repr; else ValueError naming the field."""
+    if key not in fields:
+        raise ValueError(f"{key}: missing")
+    text = fields[key]
+    try:
+        value = kind(text)
+        if _DECIMAL.fullmatch(text) if kind is int else repr(value) == text:
+            return value
+    except ValueError:  # not a number, or more digits than int() converts
+        pass
+    what = "a plain decimal integer" if kind is int else "the repr of a float"
+    raise ValueError(f"{key}: must be written as {what}, got {text!r}")
+
+
 def write_transcript(t: Transcript, path) -> None:
     k2, k3 = examples_drawn(t.params, t.outcome)
     with open(path, "w") as fh:
@@ -373,20 +402,20 @@ def write_transcript(t: Transcript, path) -> None:
             f"kprime2={k2} kprime3={k3}\n{serialize(SampleRequest(t.params.k))}\n")
         if t.reply is not None:
             fh.write(serialize(t.reply) + "\n")
-        if isinstance(t.outcome, Accepted):
-            fh.write(f"OUTCOME ACCEPT {format_bits(t.outcome.s0, t.params.n)}\n")
-        else:
-            fh.write(f"OUTCOME REJECT {t.outcome.reason}\n")
+        fh.write(_outcome_line(t.outcome, t.params.n) + "\n")
 
 
 def read_transcript(path) -> Transcript:
     with open(path) as fh:
         text = fh.read()
     header, pos = _line(text, 0)
-    if not header.startswith("PARAMS "):
+    tokens = header.split(" ")  # one space between tokens, as the writer puts it
+    if tokens[0] != "PARAMS":
         raise ParseError(1, "missing PARAMS header")
     fields = {}
-    for token in header.split()[1:]:
+    for token in tokens[1:]:
+        if not token:
+            raise ParseError(1, "PARAMS tokens must be separated by one space")
         key, _, value = token.partition("=")
         if key in fields:
             raise ParseError(1, f"repeated PARAMS key {key!r}")
@@ -396,11 +425,12 @@ def read_transcript(path) -> Transcript:
         raise ParseError(1, f"transcript format version {found}; this reader reads "
                             f"version {TRANSCRIPT_VERSION} only")
     try:
-        params = VerifierParams(n=int(fields["n"]), tau=float(fields["tau"]),
-                                eps=float(fields["eps"]), delta=float(fields["delta"]))
-        seed = check_seed(int(fields["seed"]))
-        counts = (int(fields["kprime2"]), int(fields["kprime3"]))
-    except (KeyError, ValueError) as exc:
+        params = VerifierParams(n=_param(fields, "n", int), tau=_param(fields, "tau", float),
+                                eps=_param(fields, "eps", float),
+                                delta=_param(fields, "delta", float))
+        seed = _param(fields, "seed", int)  # plain digits: check_seed would pass it
+        counts = (_param(fields, "kprime2", int), _param(fields, "kprime3", int))
+    except ValueError as exc:
         raise ParseError(1, f"bad PARAMS header: {exc}") from None
     # exactly one REQ for k samples, then at most one BATCH of any count
     # (a BadBatch reply is recorded as sent)
@@ -421,18 +451,14 @@ def read_transcript(path) -> Transcript:
     if pos >= len(text):
         raise ParseError(lineno, "missing OUTCOME line")
     line, pos = _line(text, pos)
-    parts = line.split()
-    if len(parts) == 3 and parts[1] == "ACCEPT":
-        try:
-            s0, w = parse_bits(parts[2])
-        except RowError as exc:
-            raise ParseError(lineno, f"outcome {exc.reason}") from None
-        if w != params.n:
-            raise ParseError(lineno, f"outcome width {w} != {params.n}")
-        outcome: Outcome = Accepted(s0)
-    elif len(parts) == 3 and parts[1] == "REJECT" and parts[2] in REJECT_REASONS:
-        outcome = Rejected(parts[2])
-    else:
+    verdict, _, value = line.removeprefix("OUTCOME ").partition(" ")
+    try:  # the outcome the line states, if the writer writes exactly this line for it
+        outcome: Outcome = (Accepted(parse_bits(value)[0]) if verdict == "ACCEPT"
+                            else Rejected(value))
+        written = _outcome_line(outcome, params.n) == line
+    except ValueError:
+        written = False
+    if not written:
         raise ParseError(lineno, f"malformed OUTCOME line {line!r}")
     reply = messages[1] if len(messages) == 2 else None
     rejection = judge_batch(reply, params)  # the outcomes a run can end in after it:

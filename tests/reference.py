@@ -7,9 +7,7 @@ forms the k x 2cap distance matrix at every level, in 65,536-row chunks,
 and draws one integer below its number of nearest candidates for each
 tied row, chunk by chunk. rectify.rectify, which matches distinct
 prefixes against the surviving parents, must return the same list as
-both and leave the generator in the same state. read_rows_per_line is
-the dump reader that normalises every line before parsing;
-oracles.read_samples must return what it returns, or raise its error.
+both and leave the generator in the same state.
 
 dense_flip_masks is the flip sampler that draws one uniform per bit (per
 pair, for block-flip), packed column by column with pack_rows; the masks
@@ -30,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from qfsverify.bits import RowError, as_rows, check_value, check_width, parse_rows
+from qfsverify.bits import as_rows, check_value, check_width
 from qfsverify.boolfn import FourierSpectrum
 from qfsverify.noise import BlockFlipNoise, DepolarizingNoise, NoiseChannel
 from qfsverify.oracles import draw_p0
@@ -114,20 +112,6 @@ def rectify_loop(samples, n: int, theta: float, rng: np.random.Generator) -> lis
         order = sorted(range(len(cand)), key=lambda i: (-counts[i], cand[i]))
         level = [cand[i] for i in order[:cap]]
     return level
-
-
-def read_rows_per_line(path):
-    """parse_rows of a dump's nonblank lines, each with its whitespace runs
-    collapsed to one space; a fault names its line number."""
-    with open(path) as fh:
-        rows = [" ".join(line.split()) for line in fh]
-    linenos = [i for i, row in enumerate(rows, 1) if row]
-    if not linenos:
-        raise ValueError("sample file is empty")
-    try:
-        return parse_rows("\n".join(rows[i - 1] for i in linenos))
-    except RowError as exc:
-        raise ValueError(f"line {linenos[exc.row]}: {exc.reason}") from None
 
 
 def dense_flip_masks(channel: NoiseChannel, n: int, count: int,

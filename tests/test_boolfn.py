@@ -79,6 +79,14 @@ def test_a_table_holds_exactly_its_0_1_entries(table):
         BooleanFunction.dense(2, table)
 
 
+@pytest.mark.parametrize("coords", [(3.7, 5), (True, 5), (3, "5"), "35", 3],
+                         ids=["float", "bool", "text-entry", "text", "int"])
+def test_coords_are_integers_the_constructor_does_not_convert(coords):
+    # a float or bool coordinate was once truncated, (3.7, 5) to (3, 5)
+    with pytest.raises(ValueError, match="^coords: must be a list of integers"):
+        BooleanFunction.junta(8, coords, [0, 0, 0, 1])
+
+
 @pytest.mark.parametrize("n,j", [(16, 0), (16, 17), (30, 25)])
 def test_junta_size_faults_name_j(n, j):
     with pytest.raises(ValueError, match=r"^j: must satisfy 1 <= j <= min\(n, 24\)"):

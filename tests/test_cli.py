@@ -251,6 +251,26 @@ def test_verify_refuses_a_negative_seed_by_name(tmp_path, capsys, and2_at16):
     assert err == "error: seed: must be a non-negative integer, got -3\n"
 
 
+@pytest.mark.parametrize("command", ["gen", "sample", "rectify", "learn", "experiment"])
+def test_every_seed_is_refused_by_name(tmp_path, capsys, and2_at16, command):
+    # the rule verify applies: the first four once passed -1 to default_rng,
+    # whose fault named no field, and experiment ran with it
+    fn, dump = tmp_path / "and2.fn", tmp_path / "s.txt"
+    write_function(and2_at16, fn)
+    dump.write_text("0101\n")
+    args = {"gen": ["--n", 16, "--j", 2, "--tau", 0.5, "--out", tmp_path / "g.fn"],
+            "sample": ["--function", fn, "--model", "bitflip", "--eta", 0.02,
+                       "--count", 10, "--out", tmp_path / "o.txt"],
+            "rectify": ["--samples", dump, "--theta", 0.25, "--out", tmp_path / "o.txt"],
+            "learn": ["--function", fn, "--model", "bitflip", "--eta", 0.02,
+                      "--eps", 0.45, "--delta", 0.1],
+            "experiment": ["--config", experiment_config(tmp_path, 3)]}[command]
+    assert run_cli(command, *args, "--seed", -1) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: seed: must be a non-negative integer, got -1\n"
+
+
 def _choices(command: str, dest: str):
     sub = next(a for a in build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))

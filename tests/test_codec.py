@@ -19,7 +19,6 @@ from qfsverify.protocol import (BAD_BATCH, PROVER_ERROR, VALIDATION_FAILED, Acce
                                 honest_prover, make_prover, read_transcript,
                                 replay_transcript, serialize, verifier_run,
                                 write_transcript)
-from reference import read_rows_per_line
 
 # timings on a shared 2-core machine are too noisy for a per-example deadline
 relaxed = settings(deadline=None)
@@ -132,6 +131,9 @@ def test_codec_rejects_values_and_widths_it_cannot_carry():
         with pytest.raises(RowError) as err:
             parse_rows("\n".join(rows))
         assert err.value.row == 0
+    for table in ([2, 0.5, 1], [0, -1], ["1"]):  # entries parse_table could not read back
+        with pytest.raises(ValueError):
+            format_table(table)
 
 
 def test_codec_reads_python_ints_on_both_sides_of_2_to_the_63_exactly():
@@ -348,6 +350,40 @@ def test_text_after_the_outcome_line_is_refused(tmp_path, and2_at16):
     assert err.value.lineno == text.count("\n") + 1
 
 
+@pytest.mark.parametrize("pattern,new,where,reason", [
+    ("^PARAMS ", "PARAMS  ", "PARAMS", "separated by one space"),
+    (" n=16 ", " n=1_6 ", "PARAMS", "n: must be written as a plain decimal"),
+    (" seed=3 ", " seed=+3 ", "PARAMS", "seed: must be written as a plain decimal"),
+    (" seed=3 ", " seed=0_3 ", "PARAMS", "seed: must be written as a plain decimal"),
+    (" kprime2=", " kprime2=0", "PARAMS", "kprime2: must be written as a plain decimal"),
+    (r" tau=0\.5 ", " tau=0.50 ", "PARAMS", "tau: must be written as the repr"),
+    (r" tau=0\.5 ", " tau=+.5 ", "PARAMS", "tau: must be written as the repr"),
+    (r" tau=0\.5 ", " tau=0.5_0 ", "PARAMS", "tau: must be written as the repr"),
+    ("^OUTCOME ACCEPT ", "OUTCOME  ACCEPT  ", "OUTCOME", "malformed OUTCOME line"),
+    ("$", " ", "OUTCOME", "malformed OUTCOME line"),
+], ids=["params-double-space", "n-separator", "seed-sign", "seed-separator",
+        "kprime2-leading-zero", "tau-trailing-zero", "tau-sign", "tau-separator",
+        "outcome-double-spaces", "outcome-trailing-space"])
+def test_transcript_lines_are_read_only_as_written(tmp_path, and2_at16, pattern, new,
+                                                   where, reason):
+    # each edit keeps every value, and each edited file once read cleanly
+    p = VerifierParams(n=16, tau=0.5, eps=0.45, delta=0.2)
+    prover = honest_prover(and2_at16.spectrum(), BitFlipNoise(0.025),
+                           np.random.default_rng(55))
+    outcome, t = verifier_run(p, and2_at16, prover, seed=3)
+    assert isinstance(outcome, Accepted)
+    write_transcript(t, tmp_path / "t.txt")
+    lines = (tmp_path / "t.txt").read_text().split("\n")[:-1]
+    i = 0 if where == "PARAMS" else len(lines) - 1
+    edited = re.sub(pattern, new, lines[i], count=1)
+    assert lines[i].startswith(where) and edited != lines[i]
+    lines[i] = edited
+    (tmp_path / "t.txt").write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match=f"^line {i + 1}: .*{reason}") as err:
+        read_transcript(tmp_path / "t.txt")
+    assert err.value.lineno == i + 1
+
+
 # sha256 prefixes of fixed-seed outputs on AND2 at width 16, captured from
 # the per-value writers the codec replaced; the formats are byte-identical.
 # The transcripts carry the format version 2, and transcript_honest and
@@ -444,17 +480,17 @@ def test_bad_table_characters_raise(tmp_path, bad):
         read_function(path)
 
 
-def test_dump_readers_keep_their_leniency(tmp_path):
-    # blank lines and surrounding whitespace were accepted before the codec
-    # and still are
+def test_dump_readers_refuse_what_write_samples_does_not_write(tmp_path):
+    # blank lines and whitespace around rows were once skipped; the dump now
+    # has one grammar, the rows write_samples writes
     path = tmp_path / "dump.txt"
     path.write_text("  0101 \n\n1100\r\n\t0011\n\n")
-    values, n = read_samples(path)
-    assert n == 4 and values.tolist() == [5, 12, 3]
+    with pytest.raises(ValueError, match="^line 1: "):
+        read_samples(path)
 
 
 @pytest.mark.parametrize("text,lineno", [
-    ("0101\n\n01 01\n", 3),
+    ("0101\n\n01 01\n", 2),
     ("0101\n011\n", 2),
     ("0101\n01\x0c01\n", 2),
     ("0101\n01é1\n", 2),
@@ -468,9 +504,12 @@ def test_dump_readers_name_the_bad_line(tmp_path, text, lineno):
 
 def test_empty_dumps_are_rejected(tmp_path):
     path = tmp_path / "dump.txt"
-    path.write_text("\n \n")
-    with pytest.raises(ValueError, match="empty"):
-        read_samples(path)
+    for text in ("", "\n", "\n \n"):  # no first row to read a width from
+        path.write_text(text)
+        with pytest.raises(ValueError, match="^line 1: width 0 is not in 1..64"):
+            read_samples(path)
+    with pytest.raises(ValueError, match="at least one sample"):  # nor is one written
+        write_samples(np.zeros(0, dtype=np.uint64), 4, path)
 
 
 WHITESPACE = " \t\x0b\x0c\u00a0\u2003"
@@ -478,35 +517,45 @@ WHITESPACE = " \t\x0b\x0c\u00a0\u2003"
 
 @st.composite
 def dumps(draw):
-    """Dump text: canonical, or with blank lines, whitespace around rows and
-    '\r\n' line ends; either may have one corrupted line."""
+    """(dump text, the rows it was made from, their values): the rows as
+    write_samples writes them, with '\n' or '\r\n' line ends and an
+    optional final one, or with blank lines and whitespace around rows;
+    either may have one corrupted line."""
     n, values = draw(batches(max_count=30))
-    lines = format_rows(values, n).split("\n")
-    end = "\n"
+    rows = format_rows(values, n).split("\n")
+    lines = list(rows)
     if draw(st.booleans()):
         pad = st.text(st.sampled_from(WHITESPACE), max_size=3)
         decorated = []
         for line in lines:
             decorated += draw(st.lists(pad, max_size=2))
             decorated.append(draw(pad) + line + draw(pad))
-        lines, end = decorated, draw(st.sampled_from(["\n", "\r\n"]))
+        lines = decorated
     if draw(st.booleans()):
         bad = draw(st.sampled_from([i for i, line in enumerate(lines) if line]))
         kind, ch = draw(mutations)
         lines[bad] = mutate(lines[bad], kind, ch, draw(st.integers(0, 80)))
-    return end.join(lines) + draw(st.sampled_from(["", end]))
-
-
-def _outcome(read, path):
-    try:
-        return [np.asarray(part).tolist() for part in read(path)]
-    except ValueError as exc:
-        return str(exc)
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(lines) + draw(st.sampled_from(["", end])), rows, values
 
 
 @relaxed
 @given(dumps())
-def test_dump_readers_match_the_per_line_oracle(tmp_path_factory, text):
+def test_dumps_are_read_exactly_as_written(tmp_path_factory, dump):
+    text, rows, values = dump
     path = tmp_path_factory.mktemp("dumps") / "dump.txt"
     path.write_text(text)
-    assert _outcome(read_samples, path) == _outcome(read_rows_per_line, path)
+    # the lines as text-mode open reads them; each must be a row as wide as
+    # the first, and the first faulty one is named
+    lines = path.read_text().removesuffix("\n").split("\n")
+    width = len(lines[0])
+    faulty = [i for i, line in enumerate(lines)
+              if not (1 <= width <= 64 and re.fullmatch(f"[01]{{{width}}}", line))]
+    if not faulty:
+        got, n = read_samples(path)
+        assert n == width and got.tolist() == [int(line, 2) for line in lines]
+        if lines == rows:  # every dump write_samples writes reads back
+            assert got.tolist() == values.tolist()
+    else:
+        with pytest.raises(ValueError, match=f"^line {faulty[0] + 1}: "):
+            read_samples(path)

@@ -65,6 +65,19 @@ def test_config_from_dict_and_validation():
         ExperimentConfig.from_dict(bad_noise)
 
 
+def test_a_config_is_checked_once_when_it_is_built():
+    cfg = ExperimentConfig.from_dict(base_config())
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.trials = 0  # no change skips the check
+    for field, value, fault in (("trials", 0, "must be >= 1, got 0"),
+                                ("seed", -1, "must be a non-negative integer, got -1"),
+                                ("threads", -1, "must be >= 0, got -1")):
+        with pytest.raises(ValueError, match=f"^{field}: {fault}$"):
+            dataclasses.replace(cfg, **{field: value})
+        with pytest.raises(ValueError, match=f"^{field}: {fault}$"):
+            ExperimentConfig(**{**dataclasses.asdict(cfg), field: value})
+
+
 _AND2 = BooleanFunction.dense(2, [0, 0, 0, 1])
 # every caller that takes a fraction in (0, 1), and the field its fault names
 _FRACTIONS = {
@@ -139,10 +152,8 @@ def test_single_trial_determinism():
 
 
 def test_parallel_matches_serial():
-    cfg_serial = ExperimentConfig.from_dict(base_config(trials=6))
-    cfg_serial.threads = 1
-    cfg_parallel = ExperimentConfig.from_dict(base_config(trials=6))
-    cfg_parallel.threads = 4
+    cfg_serial = ExperimentConfig.from_dict(base_config(trials=6, threads=1))
+    cfg_parallel = ExperimentConfig.from_dict(base_config(trials=6, threads=4))
     _, serial = run_experiment(cfg_serial)
     _, parallel = run_experiment(cfg_parallel)
     assert serial == parallel
