@@ -77,6 +77,8 @@ class BooleanFunction:
 
     @classmethod
     def junta(cls, n: int, coords, table) -> "BooleanFunction":
+        if coords is None:  # the constructor's dense marker, not a junta's coords
+            raise ValueError("coords: must be a list of integers, got None")
         return cls(n=n, table=table, coords=coords)
 
     def _compress(self, xs: np.ndarray) -> np.ndarray:

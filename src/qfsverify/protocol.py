@@ -287,10 +287,12 @@ def examples_drawn(params: VerifierParams, outcome: Outcome) -> tuple[int, int]:
 
 
 def check_seed(seed: int) -> int:
-    """seed when it is a non-negative integer, as default_rng takes it; else
-    ValueError naming seed."""
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
+    """seed as an int when it is a non-bool integer in 0 <= seed < 2**64,
+    the seeds derive_seed tells apart; else ValueError naming seed."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValueError(f"seed: must be a non-negative integer, got {seed!r}")
+    if int(seed) >= 1 << 64:
+        raise ValueError(f"seed: must be below 2**64, got {seed}")
     return int(seed)
 
 
@@ -309,7 +311,8 @@ def verifier_run(params: VerifierParams, f: BooleanFunction, prover,
     """
     if f.n != params.n:
         raise ValueError(f"function width {f.n} != verifier width n = {params.n}")
-    rng = np.random.default_rng(check_seed(seed))
+    seed = check_seed(seed)
+    rng = np.random.default_rng(seed)
     try:  # read_reply raises nothing, so an exception here is the prover's
         recorded = read_reply(prover(SampleRequest(params.k)))
     except Exception:  # the prover is untrusted: its failure is a rejection
@@ -373,94 +376,70 @@ def _outcome_line(outcome: Outcome, n: int) -> str:
     return f"OUTCOME REJECT {outcome.reason}"
 
 
-_DECIMAL = re.compile(r"0|[1-9][0-9]*")  # the wire header's digits, or 0
-
-
-def _param(fields: dict[str, str], key: str, kind: type):
-    """PARAMS field ``key`` as kind when it is written as write_transcript
-    writes it: an int in plain decimal (no sign, separator or leading
-    zero), a float as its repr; else ValueError naming the field."""
-    if key not in fields:
-        raise ValueError(f"{key}: missing")
-    text = fields[key]
-    try:
-        value = kind(text)
-        if _DECIMAL.fullmatch(text) if kind is int else repr(value) == text:
-            return value
-    except ValueError:  # not a number, or more digits than int() converts
-        pass
-    what = "a plain decimal integer" if kind is int else "the repr of a float"
-    raise ValueError(f"{key}: must be written as {what}, got {text!r}")
+def _first_line(params: VerifierParams, seed: int, kprime2: int, kprime3: int) -> str:
+    """The PARAMS line, a transcript's first; read_transcript takes no other."""
+    return (f"PARAMS version={TRANSCRIPT_VERSION} n={params.n} tau={params.tau!r} "
+            f"eps={params.eps!r} delta={params.delta!r} seed={seed} "
+            f"kprime2={kprime2} kprime3={kprime3}")
 
 
 def write_transcript(t: Transcript, path) -> None:
-    k2, k3 = examples_drawn(t.params, t.outcome)
     with open(path, "w") as fh:
-        fh.write(
-            f"PARAMS version={TRANSCRIPT_VERSION} n={t.params.n} tau={t.params.tau!r} "
-            f"eps={t.params.eps!r} delta={t.params.delta!r} seed={t.seed} "
-            f"kprime2={k2} kprime3={k3}\n{serialize(SampleRequest(t.params.k))}\n")
+        fh.write(f"{_first_line(t.params, t.seed, *examples_drawn(t.params, t.outcome))}\n"
+                 f"{serialize(SampleRequest(t.params.k))}\n")
         if t.reply is not None:
             fh.write(serialize(t.reply) + "\n")
         fh.write(_outcome_line(t.outcome, t.params.n) + "\n")
 
 
 def read_transcript(path) -> Transcript:
+    """The transcript write_transcript writes: each line must be what it
+    writes for the values read from that line."""
     with open(path) as fh:
         text = fh.read()
     header, pos = _line(text, 0)
-    tokens = header.split(" ")  # one space between tokens, as the writer puts it
+    tokens = header.split(" ")
     if tokens[0] != "PARAMS":
         raise ParseError(1, "missing PARAMS header")
-    fields = {}
-    for token in tokens[1:]:
-        if not token:
-            raise ParseError(1, "PARAMS tokens must be separated by one space")
-        key, _, value = token.partition("=")
-        if key in fields:
-            raise ParseError(1, f"repeated PARAMS key {key!r}")
-        fields[key] = value
+    fields = dict(token.partition("=")[::2] for token in tokens[1:])
     if fields.get("version") != str(TRANSCRIPT_VERSION):
         found = fields.get("version", "1 (no version field)")
         raise ParseError(1, f"transcript format version {found}; this reader reads "
                             f"version {TRANSCRIPT_VERSION} only")
+    values = {}
+    for key in ("n", "tau", "eps", "delta", "seed", "kprime2", "kprime3"):
+        try:  # missing, not a number, or more digits than int() converts
+            values[key] = (float if key in ("tau", "eps", "delta") else int)(fields[key])
+        except (KeyError, ValueError):
+            raise ParseError(1, f"bad PARAMS header: {key}: " + (
+                f"not a number: {fields[key]!r}" if key in fields else "missing")) from None
     try:
-        params = VerifierParams(n=_param(fields, "n", int), tau=_param(fields, "tau", float),
-                                eps=_param(fields, "eps", float),
-                                delta=_param(fields, "delta", float))
-        seed = _param(fields, "seed", int)  # plain digits: check_seed would pass it
-        counts = (_param(fields, "kprime2", int), _param(fields, "kprime3", int))
+        params = VerifierParams(values["n"], values["tau"], values["eps"], values["delta"])
+        seed = check_seed(values["seed"])
     except ValueError as exc:
         raise ParseError(1, f"bad PARAMS header: {exc}") from None
-    # exactly one REQ for k samples, then at most one BATCH of any count
-    # (a BadBatch reply is recorded as sent)
-    expected = ("REQ", "BATCH or OUTCOME", "OUTCOME")  # after 0, 1 and 2 messages
-    messages: list = []
-    lineno = 2
-    while pos < len(text) and not text.startswith("OUTCOME", pos):
-        msg, pos, after = _parse_message(text, pos, lineno)
-        found = "REQ" if isinstance(msg, SampleRequest) else "BATCH"
-        if not expected[len(messages)].startswith(found):
-            raise ParseError(lineno, f"expected {expected[len(messages)]}, found {found}")
-        if found == "REQ" and msg.count != params.k:
-            raise ParseError(lineno, f"REQ {msg.count} does not request k = {params.k}")
-        messages.append(msg)
-        lineno = after
-    if not messages:
-        raise ParseError(lineno, "expected REQ before the OUTCOME line")
-    if pos >= len(text):
-        raise ParseError(lineno, "missing OUTCOME line")
+    counts = values["kprime2"], values["kprime3"]
+    want = _first_line(params, seed, *counts)
+    if header != want:
+        raise ParseError(1, f"malformed PARAMS line; its values are written {want!r}")
+    line, pos = _line(text, pos)
+    want = serialize(SampleRequest(params.k))
+    if line != want:
+        raise ParseError(2, f"expected {want!r}, found {line!r}")
+    reply, lineno = None, 3  # a BadBatch reply is recorded as sent, of any count
+    if text.startswith("BATCH", pos):
+        reply, pos, lineno = _parse_message(text, pos, lineno)
+    start = pos
     line, pos = _line(text, pos)
     verdict, _, value = line.removeprefix("OUTCOME ").partition(" ")
     try:  # the outcome the line states, if the writer writes exactly this line for it
         outcome: Outcome = (Accepted(parse_bits(value)[0]) if verdict == "ACCEPT"
                             else Rejected(value))
-        written = _outcome_line(outcome, params.n) == line
+        written = _outcome_line(outcome, params.n) + "\n" == text[start:pos]
     except ValueError:
         written = False
     if not written:
-        raise ParseError(lineno, f"malformed OUTCOME line {line!r}")
-    reply = messages[1] if len(messages) == 2 else None
+        raise ParseError(lineno, f"malformed OUTCOME line {text[start:pos]!r}")
     rejection = judge_batch(reply, params)  # the outcomes a run can end in after it:
     if rejection is None:
         fits = isinstance(outcome, Accepted) or outcome == Rejected(VALIDATION_FAILED)

@@ -79,10 +79,11 @@ def test_a_table_holds_exactly_its_0_1_entries(table):
         BooleanFunction.dense(2, table)
 
 
-@pytest.mark.parametrize("coords", [(3.7, 5), (True, 5), (3, "5"), "35", 3],
-                         ids=["float", "bool", "text-entry", "text", "int"])
+@pytest.mark.parametrize("coords", [(3.7, 5), (True, 5), (3, "5"), "35", 3, None],
+                         ids=["float", "bool", "text-entry", "text", "int", "none"])
 def test_coords_are_integers_the_constructor_does_not_convert(coords):
-    # a float or bool coordinate was once truncated, (3.7, 5) to (3, 5)
+    # a float or bool coordinate was once truncated, (3.7, 5) to (3, 5), and
+    # None, the constructor's dense marker, built a dense function
     with pytest.raises(ValueError, match="^coords: must be a list of integers"):
         BooleanFunction.junta(8, coords, [0, 0, 0, 1])
 

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 import threading
 
 import numpy as np
@@ -69,12 +70,14 @@ def test_a_config_is_checked_once_when_it_is_built():
     cfg = ExperimentConfig.from_dict(base_config())
     with pytest.raises(dataclasses.FrozenInstanceError):
         cfg.trials = 0  # no change skips the check
+    # derive_seed keeps 64 bits, so a seed of 2**64 would run seed 0's trials
     for field, value, fault in (("trials", 0, "must be >= 1, got 0"),
                                 ("seed", -1, "must be a non-negative integer, got -1"),
+                                ("seed", 1 << 64, f"must be below 2**64, got {1 << 64}"),
                                 ("threads", -1, "must be >= 0, got -1")):
-        with pytest.raises(ValueError, match=f"^{field}: {fault}$"):
+        with pytest.raises(ValueError, match=f"^{field}: {re.escape(fault)}$"):
             dataclasses.replace(cfg, **{field: value})
-        with pytest.raises(ValueError, match=f"^{field}: {fault}$"):
+        with pytest.raises(ValueError, match=f"^{field}: {re.escape(fault)}$"):
             ExperimentConfig(**{**dataclasses.asdict(cfg), field: value})
 
 

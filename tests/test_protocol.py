@@ -502,17 +502,39 @@ def test_transcript_counts_must_fit_the_outcome(tmp_path, outcome, pair):
     assert err.value.lineno == 1
 
 
-def test_reader_ignores_the_retired_kprime1_field(tmp_path, and2_at16):
+def test_reader_refuses_the_retired_kprime1_field(tmp_path, and2_at16):
+    # no version-2 writer wrote kprime1, so its PARAMS line is not the writer's
     p = params16()
     prover = honest_prover(and2_at16.spectrum(), BitFlipNoise(0.02),
                            np.random.default_rng(14))
-    outcome, transcript = verifier_run(p, and2_at16, prover, seed=78)
+    _, transcript = verifier_run(p, and2_at16, prover, seed=78)
     path = tmp_path / "transcript.txt"
     write_transcript(transcript, path)
     lines = path.read_text().splitlines()
     assert "kprime1" not in lines[0]
     lines[0] = lines[0].replace(" kprime2=", " kprime1=0 kprime2=")
     path.write_text("\n".join(lines) + "\n")
-    back = read_transcript(path)
-    assert back.outcome == outcome and back.reply == transcript.reply
-    assert replay_transcript(back, and2_at16) == outcome
+    with pytest.raises(ParseError, match="^line 1: malformed PARAMS line") as err:
+        read_transcript(path)
+    assert err.value.lineno == 1
+
+
+@pytest.mark.parametrize("seed", [True, False, 1 << 64])
+def test_verifier_run_refuses_a_seed_its_transcript_could_not_record(and2_at16, seed):
+    # True once ran on seed 1 and wrote "seed=True", which the reader refuses;
+    # 2**64 and 0 give derive_seed the same trial seeds
+    prover = make_prover(HONEST, and2_at16.spectrum(), BitFlipNoise(0.025),
+                         np.random.default_rng(0), j=2, tau=0.5)
+    with pytest.raises(ValueError, match="^seed: must be "):
+        verifier_run(params16(), and2_at16, prover, seed)
+
+
+def test_verifier_run_records_the_seed_as_an_int(tmp_path, and2_at16):
+    prover = make_prover(HONEST, and2_at16.spectrum(), BitFlipNoise(0.025),
+                         np.random.default_rng(0), j=2, tau=0.5)
+    seed = np.uint64((1 << 64) - 1)
+    outcome, t = verifier_run(params16(), and2_at16, prover, seed)
+    assert type(t.seed) is int and t.seed == (1 << 64) - 1
+    write_transcript(t, tmp_path / "t.txt")
+    back = read_transcript(tmp_path / "t.txt")
+    assert back.seed == t.seed and replay_transcript(back, and2_at16) == outcome
