@@ -82,15 +82,17 @@ class BooleanFunction:
         return cls(n=n, table=table, coords=coords)
 
     def _compress(self, xs: np.ndarray) -> np.ndarray:
-        """Gather the relevant coordinates of packed inputs into table indices."""
+        """Gather the relevant coordinates of packed inputs into table indices,
+        as int64 (the index type of 64-bit NumPy, which indexing takes without
+        a conversion): indices are below 2^24, so their uint64 words read the same."""
         if self.coords is None:
-            return xs
+            return xs.view(np.int64)
         j = len(self.coords)
         idx = np.zeros(xs.shape, dtype=np.uint64)
         for i, c in enumerate(self.coords):
             bit = (xs >> np.uint64(self.n - c)) & np.uint64(1)
             idx |= bit << np.uint64(j - 1 - i)
-        return idx
+        return idx.view(np.int64)
 
     def eval_many(self, xs) -> np.ndarray:
         return self.table[self._compress(as_rows(xs, self.n))]

@@ -18,6 +18,8 @@ from .bits import RowError, format_rows, parse_rows, random_words
 from .boolfn import FourierSpectrum
 from .noise import DepolarizingNoise, NoiseChannel
 
+_BUCKET_BITS = 16  # draw_p0's table has at most 2^16 buckets
+
 
 @dataclass(eq=False)
 class ExampleBatch:
@@ -38,11 +40,29 @@ def draw_examples(f, count: int, rng: np.random.Generator) -> ExampleBatch:
 
 
 def draw_p0(spec: FourierSpectrum, count: int, rng: np.random.Generator) -> np.ndarray:
-    """count support strings drawn with probability g-hat(s)^2, by binary
-    search of count uniforms in the cumulative weights."""
-    idx = np.searchsorted(np.cumsum(spec.coeffs * spec.coeffs), rng.random(count),
-                          side="right")
-    return spec.support[np.minimum(idx, len(spec.support) - 1)]
+    """count support strings drawn with probability g-hat(s)^2. A uniform u
+    gets index np.searchsorted(cw, u, side="right") over the cumulative
+    weights cw, clipped to the last string, found by indexed search: for B a
+    power of two u * B is exact, so u lies in bucket floor(u * B), and a
+    bucket with no weight inside fixes the index of its uniforms; only those
+    in the other buckets are searched for. B is about 4 len(cw), at most
+    2^16, and the table is built by counting, in time linear in the support."""
+    cw = np.cumsum(spec.coeffs * spec.coeffs)
+    # u < 1 then never passes the last weight: this clips the index to the
+    # last string, as a cumulative weight short of 1 needs, and keeps cw sorted
+    cw[-1] = max(cw[-1], 1.0)
+    buckets = 1 << min(_BUCKET_BITS, (4 * len(cw) - 1).bit_length())
+    scaled = cw * buckets  # exact, as buckets is a power of two
+    # u in bucket b has an index in [lo[b], hi[b]]: lo[b] weights are <= b / buckets
+    # and hi[b] are below (b + 1) / buckets
+    lo = np.bincount(np.ceil(scaled).astype(np.intp), minlength=buckets).cumsum()[:buckets]
+    hi = np.bincount(scaled.astype(np.intp), minlength=buckets).cumsum()[:buckets]
+    u = rng.random(count)
+    b = (u * buckets).astype(np.intp)
+    idx = lo[b]
+    hard = (lo != hi)[b].nonzero()[0]
+    idx[hard] = np.searchsorted(cw, u[hard], side="right")
+    return spec.support[idx]
 
 
 def sample_batch(spec: FourierSpectrum, channel: NoiseChannel, count: int,

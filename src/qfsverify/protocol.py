@@ -377,19 +377,22 @@ def _outcome_line(outcome: Outcome, n: int) -> str:
 
 
 def _first_line(params: VerifierParams, seed: int, kprime2: int, kprime3: int) -> str:
-    """The PARAMS line, a transcript's first; read_transcript takes no other."""
+    """The PARAMS line, a transcript's first; read_transcript takes no other,
+    and a seed check_seed refuses raises ValueError."""
     return (f"PARAMS version={TRANSCRIPT_VERSION} n={params.n} tau={params.tau!r} "
-            f"eps={params.eps!r} delta={params.delta!r} seed={seed} "
+            f"eps={params.eps!r} delta={params.delta!r} seed={check_seed(seed)} "
             f"kprime2={kprime2} kprime3={kprime3}")
 
 
 def write_transcript(t: Transcript, path) -> None:
+    """Write t as read_transcript reads it. The text is rendered before the
+    file is opened, so a transcript it refuses writes and truncates nothing."""
+    text = (f"{_first_line(t.params, t.seed, *examples_drawn(t.params, t.outcome))}\n"
+            f"{serialize(SampleRequest(t.params.k))}\n"
+            + ("" if t.reply is None else serialize(t.reply) + "\n")
+            + _outcome_line(t.outcome, t.params.n) + "\n")
     with open(path, "w") as fh:
-        fh.write(f"{_first_line(t.params, t.seed, *examples_drawn(t.params, t.outcome))}\n"
-                 f"{serialize(SampleRequest(t.params.k))}\n")
-        if t.reply is not None:
-            fh.write(serialize(t.reply) + "\n")
-        fh.write(_outcome_line(t.outcome, t.params.n) + "\n")
+        fh.write(text)
 
 
 def read_transcript(path) -> Transcript:

@@ -7,18 +7,25 @@ uniformly at random, one integer draw per tied sample, samples taken in
 ascending order), and the floor(2/theta) candidates with the largest
 match counts survive.
 
+While 2^(m-1) <= cap = floor(2/theta), every (m-1)-bit prefix survives to
+step m, so each sample's parent is in the list at distance 0: those steps
+draw nothing, and the counts of step m0 = min(n, cap.bit_length()) do not
+depend on the list's order. The loop starts there, from all 2^(m0-1)
+parents in ascending order.
+
 Samples are sorted once, and each step works on the distinct sample
-values, whose m-bit prefixes form sorted runs (groups): each distinct
-prefix q is matched once for its whole group. A child c·b of a surviving
-parent c lies at distance d(c, q >> 1) + [b != last bit of q] from q, so
-only children ending in q's last bit can be nearest, and a parents x
-groups distance matrix decides the nearest set and its ties. Each sample
-of a tied group, group by group in ascending order, draws
-rng.integers(0, ways) over its group's `ways` nearest parents in the
-surviving list's order: match count descending, then prefix ascending,
-as the previous step kept them, not ascending value. The list and the
-generator state are those of tests/reference.py::nearest_match applied
-to each sample in ascending order at each level.
+values, whose m-bit prefixes form sorted runs (groups) that start where
+neighbours differ at or above bit n - m: each distinct prefix q is matched
+once for its whole group. A child c·b of a surviving parent c lies at
+distance d(c, q >> 1) + [b != last bit of q] from q, so only children
+ending in q's last bit can be nearest, and a parents x groups distance
+matrix decides the nearest set and its ties. Each sample of a tied group,
+group by group in ascending order, draws rng.integers(0, ways) over its
+group's `ways` nearest parents in the surviving list's order: match count
+descending, then prefix ascending, as the previous step kept them, not
+ascending value. The list and the generator state are those of
+tests/reference.py::nearest_match applied to each sample in ascending
+order at each level.
 """
 from __future__ import annotations
 
@@ -76,14 +83,18 @@ def rectify(samples, n: int, theta: float, rng: np.random.Generator) -> list[int
     ranked = np.sort(samples.astype(np.min_scalar_type((1 << n) - 1)))
     edge = np.flatnonzero(np.concatenate(([True], ranked[1:] != ranked[:-1], [True])))
     values = ranked[edge[:-1]]  # distinct, ascending: ranked[edge[i]:edge[i + 1]] holds values[i]
+    # neighbours share their m-bit prefix unless they differ at or above bit n - m
+    step = values[1:] ^ values[:-1]
     cut = np.ones(len(edge), dtype=bool)  # where a run of equal prefixes starts, and the end
-    level = np.zeros(1, dtype=np.uint64)  # the empty prefix
-    for m in range(1, n + 1):
-        prefixes = values >> (n - m)
-        np.not_equal(prefixes[1:], prefixes[:-1], out=cut[1:-1])
-        runs = np.flatnonzero(cut)
-        group = prefixes[runs[:-1]]  # the distinct m-bit prefixes, ascending
-        size = np.diff(edge[runs])  # samples per group
+    # every prefix survives the levels before m0, which draw nothing
+    m0 = min(n, cap.bit_length())
+    level = np.arange(1 << (m0 - 1), dtype=np.uint64)
+    for m in range(m0, n + 1):
+        np.greater_equal(step, 1 << (n - m), out=cut[1:-1])
+        runs = cut.nonzero()[0]
+        group = values[runs[:-1]] >> (n - m)  # the distinct m-bit prefixes, ascending
+        e = edge[runs]
+        size = e[1:] - e[:-1]  # samples per group
         bit = (group & 1).astype(np.intp)
         # the parents' m - 1 bits; not uint16, whose np.bitwise_count is not vectorised
         word = np.uint8 if m <= 9 else np.uint32 if m <= 33 else np.uint64
@@ -95,12 +106,12 @@ def rectify(samples, n: int, theta: float, rng: np.random.Generator) -> list[int
         counts = np.bincount(2 * _first_row(near) + bit, weights=np.where(tied, 0, size),
                              minlength=2 * len(level)).astype(np.int64)  # exact in float64
         if tied.any():  # one draw per tied sample, group by group in ascending order
-            tg = np.flatnonzero(tied)
+            tg = tied.nonzero()[0]
             w, span = ways[tg].astype(np.intp), size[tg]  # intp: offsets add to int64 draws
             # the t-th tied group's nearest parents, in list order, as t * len(level) + parent
-            pair = np.flatnonzero(near[:, tg].T.ravel())
-            won = pair[np.repeat(np.cumsum(w) - w, span) + rng.integers(0, np.repeat(w, span))]
-            counts += np.bincount(2 * (won % len(level)) + np.repeat(bit[tg], span),
+            pair = near[:, tg].T.ravel().nonzero()[0]
+            won = pair[(w.cumsum() - w).repeat(span) + rng.integers(0, w.repeat(span))]
+            counts += np.bincount(2 * (won % len(level)) + bit[tg].repeat(span),
                                   minlength=2 * len(level))
         cand = ((level[:, None] << np.uint64(1)) | np.arange(2, dtype=np.uint64)).ravel()
         # primary key: count descending; tie key: prefix ascending

@@ -6,7 +6,8 @@ import pytest
 from conftest import empirical_counts, tv_distance
 from qfsverify.boolfn import BooleanFunction, FourierSpectrum
 from qfsverify.noise import BitFlipNoise, BlockFlipNoise, DepolarizingNoise
-from qfsverify.oracles import draw_examples, draw_p0, read_samples, sample_batch, write_samples
+from qfsverify.oracles import (_BUCKET_BITS, draw_examples, draw_p0, read_samples,
+                               sample_batch, write_samples)
 from qfsverify.selftest import analytic_noisy_dist, p0_eff
 from reference import physical_batch, qfs_raw, qfs_sample_noisy
 
@@ -53,6 +54,52 @@ def test_p0_sampler_junta_support(and2_at16):
     draws = draw_p0(spec, 10 ** 4, np.random.default_rng(5))
     outside = ~np.uint64((1 << (16 - 3)) | (1 << (16 - 5)))
     assert np.all(draws & outside == 0)
+
+
+class _Uniforms:
+    """A generator stub whose random(count) returns chosen uniforms."""
+
+    def __init__(self, u: np.ndarray):
+        self.u = u
+
+    def random(self, count: int) -> np.ndarray:
+        assert count == len(self.u)
+        return self.u
+
+
+def _bent(j: int) -> list[int]:
+    """x_1 x_(j/2+1) + ... + x_(j/2) x_j: all 2^j coefficients are +-2^(-j/2)."""
+    half = j // 2
+    return [bin(x & (x >> half) & ((1 << half) - 1)).count("1") & 1 for x in range(1 << j)]
+
+
+def _equal_weights(size: int) -> FourierSpectrum:
+    return FourierSpectrum(8, {s: float(np.sqrt(1 / size)) for s in range(size)})
+
+
+@pytest.mark.parametrize("spec", [
+    FourierSpectrum(3, {0b101: 1.0}),
+    BooleanFunction.junta(16, [3, 5], [0, 0, 0, 1]).spectrum(),
+    BooleanFunction.junta(16, [1, 2, 3, 4], _bent(4)).spectrum(),
+    BooleanFunction.junta(16, list(range(1, 9)),
+                          np.random.default_rng(1).integers(0, 2, 1 << 8)).spectrum(),
+    BooleanFunction.junta(16, list(range(1, 17)),
+                          np.random.default_rng(3).integers(0, 2, 1 << 16)).spectrum(),
+    _equal_weights(7),  # the cumulative weights end 3 ulp short of 1
+    _equal_weights(9),  # and 1 ulp past it
+], ids=lambda spec: f"support{spec.support.size}")
+def test_p0_indices_are_the_binary_search(spec):
+    # draw_p0's bucket table must give np.searchsorted's index (clipped to the
+    # last string) for every uniform: 0, the largest double below 1, every edge
+    # of any table it can build, every cumulative weight, and their neighbours
+    cw = np.cumsum(spec.coeffs * spec.coeffs)
+    edges = np.arange(1 << _BUCKET_BITS) / (1 << _BUCKET_BITS)
+    points = np.concatenate((edges, cw))
+    u = np.concatenate(([0.0, np.nextafter(1.0, 0.0)], points,
+                        np.nextafter(points, 0.0), np.nextafter(points, 1.0)))
+    u = u[(u >= 0.0) & (u < 1.0)]
+    want = np.minimum(np.searchsorted(cw, u, side="right"), len(cw) - 1)
+    assert np.array_equal(draw_p0(spec, len(u), _Uniforms(u)), spec.support[want])
 
 
 def test_qfs_raw_law(and2):

@@ -538,3 +538,25 @@ def test_verifier_run_records_the_seed_as_an_int(tmp_path, and2_at16):
     write_transcript(t, tmp_path / "t.txt")
     back = read_transcript(tmp_path / "t.txt")
     assert back.seed == t.seed and replay_transcript(back, and2_at16) == outcome
+
+
+@pytest.mark.parametrize("seed", [True, -1, 1 << 64])
+def test_writer_refuses_a_seed_its_reader_refuses(tmp_path, seed):
+    # a hand-built Transcript reaches the writer without verifier_run's check
+    path = tmp_path / "t.txt"
+    path.write_text("kept\n")
+    with pytest.raises(ValueError, match="^seed: must be "):
+        write_transcript(Transcript(params16(), seed, None, Rejected(PROVER_ERROR)), path)
+    assert path.read_text() == "kept\n"
+
+
+def test_a_refused_outcome_leaves_the_file_as_it_was(tmp_path):
+    path = tmp_path / "t.txt"
+    path.write_text("kept\n")
+    with pytest.raises(ValueError, match="unknown rejection reason 'Nope'"):
+        write_transcript(Transcript(params16(), 5, None, Rejected("Nope")), path)
+    assert path.read_text() == "kept\n"
+    with pytest.raises(ValueError):
+        write_transcript(Transcript(params16(), -1, None, Rejected(PROVER_ERROR)),
+                         tmp_path / "new.txt")
+    assert not (tmp_path / "new.txt").exists()

@@ -297,6 +297,22 @@ def test_rectify_keeps_up_to_cap_distinct_values_in_any_order(n, theta, seeds, d
     assert rectify(shuffled, n, theta, np.random.default_rng(seeds[1])) == out
 
 
+@settings(deadline=None, max_examples=60)
+@given(theta=st.floats(0.005, 0.95), seed=st.integers(0, 2 ** 32), data=st.data())
+def test_rectify_ranks_every_value_when_every_parent_survives(theta, seed, data):
+    # for n <= cap.bit_length(), 2^(n-1) <= cap: every prefix survives to the
+    # last level, each sample is matched to itself, and nothing is drawn
+    cap = list_cap(theta)
+    n = data.draw(st.integers(1, cap.bit_length()))
+    samples = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=300))
+    count = np.bincount(samples, minlength=1 << n)
+    rng = np.random.default_rng(seed)
+    before = rng.bit_generator.state
+    out = rectify(samples, n, theta, rng)
+    assert out == sorted(range(2 ** n), key=lambda v: (-count[v], v))[:cap]
+    assert rng.bit_generator.state == before
+
+
 def test_rectify_recovers_heavy_set_at_width_64():
     # the verifier's k at n = 64 on fresh 2-juntas under bit-flip noise;
     # the heavy set is found in at least 1 - delta of the trials, delta = 0.1
