@@ -200,7 +200,7 @@ class FourierSpectrum:
         if np.any(coeffs == 0.0):
             raise ValueError("stored coefficients must be nonzero")
         total = float(np.sum(coeffs * coeffs))
-        if abs(total - 1.0) > PARSEVAL_TOL:
+        if not abs(total - 1.0) <= PARSEVAL_TOL:  # a NaN total fails too
             raise ValueError(f"Parseval violation: sum of squares = {total!r}")
         support.setflags(write=False)
         coeffs.setflags(write=False)

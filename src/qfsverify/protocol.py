@@ -142,29 +142,18 @@ def serialize(msg: Message) -> str:
 
 def deserialize(text: str) -> Message:
     """The message of a wire text whose lines end in '\n' (the last one may not)."""
-    msg, pos, lineno = _parse_message(text, 0, 1)
-    if pos < len(text):
-        raise ParseError(lineno, "trailing content after message")
-    return msg
-
-
-def _line(text: str, pos: int) -> tuple[str, int]:
-    """The line starting at offset ``pos`` and the offset after its '\n'
-    (one past the end of the text for a last line without one)."""
-    end = text.find("\n", pos)
-    end = len(text) if end < 0 else end
-    return text[pos:end], end + 1
+    return _parse_message(text, 1)
 
 
 _HEADER = re.compile(r"(REQ|BATCH) ([1-9][0-9]*)")  # exactly as serialize writes it
 
 
-def _parse_message(text: str, pos: int, lineno: int) -> tuple[Message, int, int]:
-    """The message whose header line starts at offset ``pos`` and is line
-    ``lineno``, with the offset and the line number that follow it."""
-    if pos >= len(text):
-        raise ParseError(lineno, "expected a message header")
-    header, pos = _line(text, pos)
+def _parse_message(text: str, lineno: int) -> Message:
+    """The one message ``text`` holds, its header on line ``lineno``. A BATCH's
+    rows go to parse_rows whole; only when that fails, or finds another count,
+    are they split into lines to name the fault: too few lines, else the first
+    malformed row within the count, else the line after them."""
+    header, sep, rows = text.removesuffix("\n").partition("\n")
     head = _HEADER.fullmatch(header)
     if head is None:
         raise ParseError(lineno, f"malformed header {header!r}")
@@ -173,39 +162,23 @@ def _parse_message(text: str, pos: int, lineno: int) -> tuple[Message, int, int]
     except ValueError:  # more digits than int() converts
         raise ParseError(lineno, f"bad count {head[2]!r}") from None
     if head[1] == "REQ":
-        return SampleRequest(count), pos, lineno + 1
-    batch, pos = _parse_batch(text, pos, lineno + 1, count)
-    return batch, pos, lineno + 1 + count
-
-
-def _parse_batch(text: str, pos: int, lineno: int, count: int) -> tuple[SampleBatch, int]:
-    """The ``count`` rows whose first starts at offset ``pos`` and is line
-    ``lineno``, with the offset after the last row's '\n'.
-
-    Rows as wide as the first one take exactly count * (width + 1) - 1
-    characters, so that slice goes to parse_rows whole when it ends at a
-    '\n' or at the end of the text. Otherwise, or when it does not parse,
-    the rows are taken line by line to name the fault: too few lines, or
-    the first malformed row.
-    """
-    stop = pos + count * (_line(text, pos)[1] - pos) - 1
-    if stop == len(text) or text.startswith("\n", stop):
-        try:
-            values, n = parse_rows(text[pos:stop])
-            return SampleBatch(n, values), stop + 1
-        except RowError:
-            pass
-    lines = text[pos:].split("\n")
-    if lines[-1] == "":  # a final '\n' ends the last line
-        lines.pop()
-    if len(lines) < count:
-        raise ParseError(lineno + len(lines), f"batch needs {count} sample lines")
-    block = "\n".join(lines[:count])
+        if sep:
+            raise ParseError(lineno + 1, "trailing content after message")
+        return SampleRequest(count)
     try:
-        values, n = parse_rows(block)
+        values, n = parse_rows(rows)
+        if len(values) == count:
+            return SampleBatch(n, values)
+    except RowError:
+        pass
+    lines = rows.split("\n") if sep else []
+    if len(lines) < count:
+        raise ParseError(lineno + 1 + len(lines), f"batch needs {count} sample lines")
+    try:
+        parse_rows("\n".join(lines[:count]))
     except RowError as exc:
-        raise ParseError(lineno + exc.row, exc.reason) from None
-    return SampleBatch(n, values), pos + len(block) + 1
+        raise ParseError(lineno + 1 + exc.row, exc.reason) from None
+    raise ParseError(lineno + 1 + count, "trailing content after message")
 
 
 def honest_prover(spec: FourierSpectrum, channel: NoiseChannel,
@@ -396,11 +369,13 @@ def write_transcript(t: Transcript, path) -> None:
 
 
 def read_transcript(path) -> Transcript:
-    """The transcript write_transcript writes: each line must be what it
-    writes for the values read from that line."""
+    """The transcript write_transcript writes: PARAMS, REQ, the reply if the
+    line after REQ starts a BATCH, and OUTCOME as the last line, each what it
+    writes for the values read from it. The reply is the text between REQ and
+    the last line, read by the wire parser."""
     with open(path) as fh:
-        text = fh.read()
-    header, pos = _line(text, 0)
+        header, line = fh.readline().removesuffix("\n"), fh.readline().removesuffix("\n")
+        rest = fh.read()
     tokens = header.split(" ")
     if tokens[0] != "PARAMS":
         raise ParseError(1, "missing PARAMS header")
@@ -425,33 +400,32 @@ def read_transcript(path) -> Transcript:
     want = _first_line(params, seed, *counts)
     if header != want:
         raise ParseError(1, f"malformed PARAMS line; its values are written {want!r}")
-    line, pos = _line(text, pos)
     want = serialize(SampleRequest(params.k))
     if line != want:
         raise ParseError(2, f"expected {want!r}, found {line!r}")
-    reply, lineno = None, 3  # a BadBatch reply is recorded as sent, of any count
-    if text.startswith("BATCH", pos):
-        reply, pos, lineno = _parse_message(text, pos, lineno)
-    start = pos
-    line, pos = _line(text, pos)
+    # the OUTCOME line: the last line after a BATCH, else the line after REQ
+    start = rest.rfind("\n", 0, len(rest) - 1) + 1 if rest.startswith("BATCH") else 0
+    line, end, after = rest[start:].partition("\n")
     verdict, _, value = line.removeprefix("OUTCOME ").partition(" ")
     try:  # the outcome the line states, if the writer writes exactly this line for it
         outcome: Outcome = (Accepted(parse_bits(value)[0]) if verdict == "ACCEPT"
                             else Rejected(value))
-        written = _outcome_line(outcome, params.n) + "\n" == text[start:pos]
+        written = _outcome_line(outcome, params.n) + "\n" == line + end
     except ValueError:
         written = False
     if not written:
-        raise ParseError(lineno, f"malformed OUTCOME line {text[start:pos]!r}")
+        raise ParseError(3 + rest.count("\n", 0, start), f"malformed OUTCOME line {line + end!r}")
+    reply = _parse_message(rest[:start], 3) if start else None  # as sent, any count
     rejection = judge_batch(reply, params)  # the outcomes a run can end in after it:
     if rejection is None:
         fits = isinstance(outcome, Accepted) or outcome == Rejected(VALIDATION_FAILED)
     else:
         fits = outcome == rejection or reply is None and outcome == Rejected(PROVER_ERROR)
     if not fits:
-        raise ParseError(lineno, f"{line!r} cannot follow {'this' if reply else 'no'} BATCH")
-    if pos < len(text):
-        raise ParseError(lineno + 1, "trailing content after the OUTCOME line")
+        raise ParseError(3 + rest.count("\n", 0, start),
+                         f"{line!r} cannot follow {'this' if reply else 'no'} BATCH")
+    if after:
+        raise ParseError(4, "trailing content after the OUTCOME line")
     want = examples_drawn(params, outcome)
     if counts != want:
         raise ParseError(1, f"kprime2, kprime3 = {counts}; this outcome needs {want}")

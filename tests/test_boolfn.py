@@ -232,6 +232,14 @@ def test_parseval_enforced():
         FourierSpectrum(2, {0b01: 0.5})
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_a_spectrum_refuses_a_coefficient_that_is_not_finite(bad):
+    # a NaN sum of squares compares false with everything, so the Parseval
+    # check must pass only a total it finds within the tolerance
+    with pytest.raises(ValueError, match="Parseval violation"):
+        FourierSpectrum(2, {0b01: bad, 0b10: 1.0})
+
+
 @pytest.mark.parametrize("entries", [{2.7: 1.0}, {1.0: 1.0}, {-1: 1.0}, {0b100: 1.0}])
 def test_a_spectrum_refuses_support_strings_it_would_truncate(entries):
     # int() would read the key 2.7 as the string 10

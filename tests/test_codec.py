@@ -148,15 +148,21 @@ def test_one_row_readers_refuse_a_second_row():
         parse_bits("01\n10")
 
 
-@pytest.mark.parametrize("text,lineno,reason", [
-    # rows end in '\n' only
-    ("BATCH 3\n0101\r\n1100\r\n0011", 2, "is not 5 bits"),
+# faults in a BATCH's rows, which end in '\n' only
+_BATCH_FAULTS = [
     ("BATCH 3\n0101\x0b1100\x0b0011", 3, "batch needs 3 sample lines"),
     ("BATCH 3\n0101\x851100\x850011", 3, "batch needs 3 sample lines"),
     # a short batch is reported before a ragged row inside it
     ("BATCH 3\n01\n01010\n", 4, "batch needs 3 sample lines"),
     ("BATCH 3\n01\n01010\n11", 3, "is not 2 bits"),
     ("BATCH 2\n0\n101", 3, "is not 1 bits"),
+]
+
+
+@pytest.mark.parametrize("text,lineno,reason", [
+    # rows end in '\n' only
+    ("BATCH 3\n0101\r\n1100\r\n0011", 2, "is not 5 bits"),
+    *_BATCH_FAULTS,
     # headers are exactly what serialize writes: ASCII digits, no sign,
     # separator or leading zero, one space
     ("REQ 1_0", 1, "malformed header"),
@@ -170,6 +176,22 @@ def test_wire_faults_name_their_line(text, lineno, reason):
     with pytest.raises(ParseError, match=reason) as err:
         deserialize(text)
     assert err.value.lineno == lineno
+
+
+@pytest.mark.parametrize("text,lineno,reason", _BATCH_FAULTS)
+def test_a_transcript_reads_its_batch_as_the_wire_does(tmp_path, text, lineno, reason):
+    # the reply is the text between REQ and the last line, read by the one
+    # wire parser: the same fault, two lines further down ('\r\n' is left
+    # out, as text-mode open reads a file's '\r\n' as '\n')
+    path = tmp_path / "t.txt"
+    path.write_text(_PARAMS2 + "REQ 13102\n" + text.removesuffix("\n")
+                    + "\nOUTCOME REJECT BadBatch\n")
+    with pytest.raises(ParseError, match=f"^line {lineno + 2}: .*{reason}") as err:
+        read_transcript(path)
+    with pytest.raises(ParseError) as wire:
+        deserialize(text)
+    assert err.value.lineno == wire.value.lineno + 2 == lineno + 2
+    assert str(err.value).partition(": ")[2] == str(wire.value).partition(": ")[2]
 
 
 def test_transcript_files_with_crlf_line_ends_read_back(tmp_path, and2_at16):
@@ -300,7 +322,10 @@ def test_transcript_grammar_faults_name_their_line(tmp_path, body, lineno, fault
     assert VerifierParams(n=2, tau=0.5, eps=0.45, delta=0.2).k == 13_102
     path = tmp_path / "t.txt"
     path.write_text(_PARAMS2 + body)
-    reason = "expected 'REQ 13102', found" if lineno == 2 else "malformed OUTCOME line"
+    # after a BATCH the text up to the last line is one reply, so a second
+    # message is trailing content after the first
+    reason = {2: "expected 'REQ 13102', found",
+              6: "trailing content after message"}.get(lineno, "malformed OUTCOME line")
     with pytest.raises(ParseError, match=f"^line {lineno}: {reason}") as err:
         read_transcript(path)
     assert err.value.lineno == lineno
@@ -385,9 +410,27 @@ def test_text_after_the_outcome_line_is_refused(tmp_path, and2_at16):
     text = (tmp_path / "t.txt").read_text()
     assert read_transcript(tmp_path / "t.txt").outcome == t.outcome
     (tmp_path / "t.txt").write_text(text + "garbage\n")
-    with pytest.raises(ParseError, match="after the OUTCOME line") as err:
+    # after a BATCH the last line is the OUTCOME line
+    with pytest.raises(ParseError, match="malformed OUTCOME line 'garbage") as err:
         read_transcript(tmp_path / "t.txt")
     assert err.value.lineno == text.count("\n") + 1
+
+
+@pytest.mark.parametrize("body,lineno", [
+    ("REQ 13102\nBATCH 2\n01\n10\nOUTCOME REJECT BadBatch\ngarbage\n", 7),
+    ("REQ 13102\nOUTCOME REJECT ProverError\ngarbage\n", 4),
+    ("REQ 13102\nOUTCOME REJECT ProverError\nOUTCOME REJECT ProverError\n", 4),
+    ("REQ 13102\nOUTCOME REJECT BadBatch\n\n", 4),
+])
+def test_text_after_a_transcripts_outcome_is_refused_on_its_line(tmp_path, body, lineno):
+    # each file reads cleanly without its last line
+    path = tmp_path / "t.txt"
+    path.write_text(_PARAMS2 + body[:body.rindex("\n", 0, -1) + 1])
+    read_transcript(path)
+    path.write_text(_PARAMS2 + body)
+    with pytest.raises(ParseError) as err:
+        read_transcript(path)
+    assert err.value.lineno == lineno
 
 
 @pytest.mark.parametrize("pattern,new,where,reason", [
